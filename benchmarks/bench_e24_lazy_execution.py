@@ -71,23 +71,28 @@ def build_world(n_rows: int):
 
 
 def prewarm(datasets):
-    """Build the memoized per-column views outside the measured region:
-    inputs are resident in both systems; the bench measures
-    execution-transient memory."""
+    """Build the memoized per-column views and the provenance vectors
+    outside the measured region: inputs are resident in both systems; the
+    bench measures execution-transient memory."""
     for rel in datasets.values():
         for name in rel.columns:
             rel.columnar.values(name)
+        rel.provenance
 
 
 def measure(engine, plan, resolver):
     """(relation, wall_seconds, peak_bytes) for one engine, fresh trees
-    per pass so no batch/payload caching leaks across measurements."""
+    per pass so no batch/payload caching leaks across measurements.  Both
+    passes read the result's provenance, so both engines build the same
+    output whether the engine builds it eagerly or on first read."""
     t0 = time.perf_counter()
     relation = engine.execute(plan.build_tree(resolver))
+    relation.provenance
     wall = time.perf_counter() - t0
 
     tracemalloc.start()
     traced = engine.execute(plan.build_tree(resolver))
+    traced.provenance
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert traced.rows == relation.rows

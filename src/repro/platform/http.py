@@ -100,6 +100,10 @@ STATUS_BY_ERROR: dict[type, int] = {
 #: are synchronous: the response carries the façade's result)
 WRITE_TIMEOUT = 60.0
 
+#: largest request body the gateway reads; a longer ``Content-Length`` is
+#: refused (422) before any of the body is read
+MAX_BODY_BYTES = 64 * 2**20
+
 
 def status_for(exc_type: type) -> int:
     """HTTP status for a ``MarketError`` subclass (500 off-taxonomy)."""
@@ -602,18 +606,23 @@ class MarketGateway:
         headers,
         body: bytes,
         client: str,
+        refused: MarketError | None = None,
     ) -> tuple[int, dict, dict[str, str]]:
         """Route one request; returns (status, json payload, headers).
 
         This is the whole request pipeline — rate limit, auth, parse,
         validate, dispatch, error mapping — factored off the socket
-        handler so it is directly testable."""
+        handler so it is directly testable.  ``refused`` is the typed
+        error the socket handler turned the request away with before
+        reading its body; it is answered like any other error."""
         start = time.perf_counter()
         parts = urlsplit(target)
         path = unquote(parts.path)
         route_key = f"{method} {parts.path}"
         extra_headers: dict[str, str] = {}
         try:
+            if refused is not None:
+                raise refused
             match, needs_auth, handler = self._match(method, path)
             route_key = f"{method} {match.re.pattern}"
             token = self._bearer_token(headers)
@@ -947,12 +956,18 @@ def _make_handler() -> type[BaseHTTPRequestHandler]:
         server: _GatewayServer
 
         def _dispatch(self, method: str) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
+            body, refused = b"", None
+            try:
+                body = self._read_body()
+            except InvalidRequestError as exc:
+                # the body was left unread, so the stream is out of step
+                refused, self.close_connection = exc, True
             status, payload, extra = self.server.gateway.handle(
                 method, self.path, self.headers, body,
-                client=self.client_address[0],
+                client=self.client_address[0], refused=refused,
             )
+            if refused is not None:
+                extra["Connection"] = "close"
             data = json.dumps(payload, default=str).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -961,6 +976,26 @@ def _make_handler() -> type[BaseHTTPRequestHandler]:
                 self.send_header(key, value)
             self.end_headers()
             self.wfile.write(data)
+
+        def _read_body(self) -> bytes:
+            raw = self.headers.get("Content-Length")
+            if raw is None:
+                return b""
+            if not re.fullmatch(r"[0-9]+", raw.strip()):
+                raise InvalidRequestError(
+                    f"Content-Length must be a non-negative integer, "
+                    f"got {raw!r}"
+                )
+            digits = raw.strip().lstrip("0") or "0"
+            # length first: int() refuses digit strings over 4300 long
+            if len(digits) > len(str(MAX_BODY_BYTES)) or (
+                int(digits) > MAX_BODY_BYTES
+            ):
+                raise InvalidRequestError(
+                    f"request body exceeds the {MAX_BODY_BYTES}-byte limit"
+                )
+            length = int(digits)
+            return self.rfile.read(length) if length else b""
 
         def do_GET(self):  # noqa: N802  (BaseHTTPRequestHandler contract)
             self._dispatch("GET")

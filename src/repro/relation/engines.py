@@ -10,11 +10,16 @@ Two engines stand behind one interface:
   sources plus per-leaf row-index arrays** (numpy ``intp``), reusing the
   relations' memoized :class:`~repro.relation.columnar.ColumnarView`
   column vectors.  A join only composes index arrays; a selection only
-  shrinks them; projection and rename are pure metadata.  Rows, wide
-  tuples and provenance products are assembled once, at ``collect``
-  time, for exactly the output columns — late materialization is
-  projection pushdown by construction, and :func:`push_down` additionally
-  sinks selections below joins/projections toward the leaves.
+  shrinks them; projection and rename are pure metadata.  Rows and wide
+  tuples are assembled once, at ``collect`` time, for exactly the output
+  columns — late materialization is projection pushdown by construction,
+  and :func:`push_down` additionally sinks selections below
+  joins/projections toward the leaves.  Provenance products stay
+  factorised: the collected relation keeps each leaf's provenance and its
+  row-index array (a :class:`~repro.relation.provenance.DeferredProvenance`)
+  and builds the flat per-row products only when its ``provenance`` is
+  first read; a leaf's own deferred tags are built then, once, and shared
+  by every relation collected over that leaf.
 
 Both engines are **bit-identical**: same rows in the same order, same
 schema, same relation name, and equal provenance expressions.  Join
@@ -39,7 +44,7 @@ import numpy as np
 from ..errors import SchemaError
 from .columnar import SCALAR_DTYPES
 from .predicates import Predicate, _bool_mask, _scalar_operand
-from .provenance import times
+from .provenance import DeferredProvenance
 from .relation import Relation, _freeze
 from .schema import Column, Schema
 from .tree import (
@@ -144,7 +149,10 @@ class _RelationSource:
 
     @property
     def provenance(self):
-        return self.relation.provenance
+        # as held — a tuple or the leaf's deferred form, so a collect tags
+        # no leaf that is never read; a read builds the leaf's tags once,
+        # in the shared form, for every relation collected over it
+        return self.relation._prov
 
     def column(self, name: str) -> np.ndarray:
         arr = self._arrays.get(name)
@@ -547,7 +555,7 @@ class ColumnarEngine(Engine):
     # -- late materialization ----------------------------------------------
     def _gather(self, batch: _Batch) -> Relation:
         """Assemble the output relation: only the output columns are
-        gathered, and provenance products are built flat per row."""
+        gathered, and provenance stays factorised per leaf until read."""
         n = batch.nrows
         schema = Schema([col for _si, _sn, col in batch.cols])
         if batch.cols:
@@ -564,29 +572,19 @@ class ColumnarEngine(Engine):
             for src, idx in zip(batch.sources, batch.indexes)
             if src.provenance is not None
         ]
-        if len(prov_parts) == 1:
-            source_prov, idx = prov_parts[0]
-            if idx is None:
-                # pristine single-source pipeline: reuse the leaf verbatim
-                # when nothing changed at all
-                relation = batch.sources[0].relation
-                if (
-                    batch.name == relation.name
-                    and schema.names == relation.schema.names
-                    and tuple(schema.columns) == tuple(relation.schema.columns)
-                ):
-                    return relation
-                prov = source_prov
-            else:
-                prov = tuple(source_prov[i] for i in idx)
+        if len(prov_parts) == 1 and prov_parts[0][1] is None:
+            # pristine single-source pipeline: reuse the leaf verbatim
+            # when nothing changed at all, else share its provenance
+            relation = batch.sources[0].relation
+            if (
+                batch.name == relation.name
+                and schema.names == relation.schema.names
+                and tuple(schema.columns) == tuple(relation.schema.columns)
+            ):
+                return relation
+            prov = prov_parts[0][0]
         else:
-            per_row = [
-                (p, idx if idx is not None else range(len(p)))
-                for p, idx in prov_parts
-            ]
-            prov = tuple(
-                times(*(p[idx[r]] for p, idx in per_row)) for r in range(n)
-            )
+            prov = DeferredProvenance(n, prov_parts)
         return Relation._build(batch.name, schema, rows, prov)
 
 

@@ -6,6 +6,8 @@ propagate the value of a mashup row back to the source datasets.  This module
 implements exactly that machinery:
 
 * every base tuple is tagged with a :class:`ProvToken` ``(source, row_id)``;
+  a relation holds its tags, or the factorised products a columnar
+  collect leaves, as a :class:`DeferredProvenance` until first read;
 * relational operators combine annotations with ``+`` (alternative use, e.g.
   union / duplicate elimination) and ``*`` (joint use, e.g. join);
 * :func:`evaluate` maps an annotation into any commutative semiring, and
@@ -17,6 +19,7 @@ implements exactly that machinery:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -122,6 +125,75 @@ def plus(*exprs: ProvExpr) -> ProvExpr:
     if len(flat) == 1:
         return flat[0]
     return ProvPlus(tuple(flat))
+
+
+#: serialises building deferred vectors, so a vector is built once
+_RESOLVE_LOCK = threading.Lock()
+
+
+class DeferredProvenance:
+    """A relation's provenance vector, built only when first read.
+
+    Two shapes of ``length`` rows:
+
+    * ``DeferredProvenance(n, source=name)`` — base tuples: row ``i`` is
+      ``ProvToken(name, i)``;
+    * ``DeferredProvenance(n, parts)`` — a factorised flat product.
+      ``parts`` pairs each contributing leaf's provenance (a resolved
+      tuple, or the leaf's own deferred form — never the leaf relation)
+      with the row-index array picking that leaf's row for each output
+      row (``None``: rows ``0..n-1`` unchanged).  Row ``r`` is
+      ``times(p[idx[r]] for each part)``, or just ``p[idx[r]]`` for a
+      single part — exactly the vector a per-row gather builds.
+
+    :meth:`resolve` builds the vector once, keeps it in ``vector`` and
+    drops ``parts``.  A leaf's form is shared by every relation collected
+    over that leaf, so all of them index one set of leaf tags.
+    """
+
+    __slots__ = ("length", "parts", "source", "vector")
+
+    def __init__(
+        self, length: int, parts: Iterable = (), source: str | None = None
+    ) -> None:
+        self.length = length
+        self.parts = tuple(parts)
+        self.source = source
+        self.vector: tuple[ProvExpr, ...] | None = None
+
+    def resolve(self) -> tuple[ProvExpr, ...]:
+        """The vector, built on the first call (threads racing on it all
+        get the same tuple)."""
+        if self.vector is None:
+            with _RESOLVE_LOCK:
+                self._build()
+        return self.vector
+
+    def _build(self) -> tuple[ProvExpr, ...]:
+        # the caller holds _RESOLVE_LOCK
+        if self.vector is not None:
+            return self.vector
+        if self.source is not None:
+            vec = tuple(ProvToken(self.source, i) for i in range(self.length))
+        else:
+            per_leaf = [
+                (p._build() if isinstance(p, DeferredProvenance) else p, idx)
+                for p, idx in self.parts
+            ]
+            if len(per_leaf) == 1:
+                prov, idx = per_leaf[0]
+                vec = prov if idx is None else tuple(prov[i] for i in idx)
+            else:
+                per_row = [
+                    (p, idx if idx is not None else range(len(p)))
+                    for p, idx in per_leaf
+                ]
+                vec = tuple(
+                    times(*(p[idx[r]] for p, idx in per_row))
+                    for r in range(self.length)
+                )
+        self.vector, self.parts = vec, ()
+        return vec
 
 
 def evaluate(

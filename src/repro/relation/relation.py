@@ -5,6 +5,15 @@ immutable ordered bag of rows with a :class:`~repro.relation.schema.Schema`
 and a parallel vector of provenance annotations — every operator propagates
 provenance per Green et al.'s semiring rules so the revenue-sharing engine
 can later split a mashup's price across the contributing datasets.
+
+The vector is built on first read.  Until then a relation holds a
+:class:`~repro.relation.provenance.DeferredProvenance`: base token tags for
+a relation built from rows, or the factorised per-leaf row-index form a
+columnar collect leaves behind.  ``provenance`` resolves it once and caches
+the tuple (a leaf's tags are built once and shared by every relation
+collected over it); operators that pass provenance through unchanged carry
+the deferred form, and operators that index or combine it resolve it first,
+so every vector read is the one eager per-row tagging would have built.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from ..errors import ReproDeprecationWarning, SchemaError, UnknownColumnError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .tree import LeafRelation
 from .columnar import SCALAR_DTYPES, ColumnarView
-from .provenance import ProvExpr, ProvOne, ProvToken, plus, times
+from .provenance import DeferredProvenance, ProvExpr, ProvOne, plus, times
 from .schema import Column, Schema
 
 Row = tuple
@@ -75,8 +84,8 @@ class Relation:
             for row in self._rows:
                 self.schema.validate_row(row)
         if provenance is None:
-            self._prov: tuple[ProvExpr, ...] = tuple(
-                ProvToken(name, i) for i in range(len(self._rows))
+            self._prov: tuple[ProvExpr, ...] | DeferredProvenance = (
+                DeferredProvenance(len(self._rows), source=name)
             )
         else:
             if len(provenance) != len(self._rows):
@@ -120,7 +129,11 @@ class Relation:
 
     @property
     def provenance(self) -> tuple[ProvExpr, ...]:
-        return self._prov
+        """Per-row annotations, built on first read and cached."""
+        prov = self._prov
+        if isinstance(prov, DeferredProvenance):
+            prov = self._prov = prov.resolve()
+        return prov
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -184,7 +197,9 @@ class Relation:
         return dict(zip(self.schema.names, self._rows[index]))
 
     def head(self, n: int = 5) -> "Relation":
-        return self._derive(self.name, self.schema, self._rows[:n], self._prov[:n])
+        return self._derive(
+            self.name, self.schema, self._rows[:n], self.provenance[:n]
+        )
 
     def pretty(self, limit: int = 10) -> str:
         """A fixed-width textual rendering, for examples and debugging."""
@@ -263,16 +278,18 @@ class Relation:
         name: str,
         schema: Schema,
         rows: Iterable[Row],
-        prov: Iterable[ProvExpr],
+        prov: Iterable[ProvExpr] | DeferredProvenance,
     ) -> "Relation":
         """Raw constructor for operators and engines: rows are trusted
-        (already schema-valid) and provenance is supplied, so validation
-        and token tagging are skipped."""
+        (already schema-valid) and provenance is supplied — a vector, or a
+        deferred form kept as is — so validation and tagging are skipped."""
         rel = cls.__new__(cls)
         rel.name = name
         rel.schema = schema
         rel._rows = tuple(rows)
-        rel._prov = tuple(prov)
+        rel._prov = (
+            prov if isinstance(prov, DeferredProvenance) else tuple(prov)
+        )
         rel._columnar = None
         rel._chash = None
         return rel
@@ -282,7 +299,7 @@ class Relation:
         name: str,
         schema: Schema,
         rows: Iterable[Row],
-        prov: Iterable[ProvExpr],
+        prov: Iterable[ProvExpr] | DeferredProvenance,
     ) -> "Relation":
         return Relation._build(name, schema, rows, prov)
 
@@ -301,7 +318,7 @@ class Relation:
         """σ — keep rows for which ``predicate(row_as_dict)`` is truthy."""
         names = self.schema.names
         keep_rows, keep_prov = [], []
-        for row, prov in zip(self._rows, self._prov):
+        for row, prov in zip(self._rows, self.provenance):
             if predicate(dict(zip(names, row))):
                 keep_rows.append(row)
                 keep_prov.append(prov)
@@ -311,7 +328,7 @@ class Relation:
         """σ with equality conditions given as keyword arguments."""
         idx = {self.schema.position(k): v for k, v in conditions.items()}
         keep_rows, keep_prov = [], []
-        for row, prov in zip(self._rows, self._prov):
+        for row, prov in zip(self._rows, self.provenance):
             if all(row[i] == v for i, v in idx.items()):
                 keep_rows.append(row)
                 keep_prov.append(prov)
@@ -356,7 +373,7 @@ class Relation:
         seen: dict[Row, int] = {}
         rows: list[Row] = []
         provs: list[list[ProvExpr]] = []
-        for row, prov in zip(self._rows, self._prov):
+        for row, prov in zip(self._rows, self.provenance):
             key = freeze(row)
             if key in seen:
                 provs[seen[key]].append(prov)
@@ -378,7 +395,7 @@ class Relation:
             self.name,
             self.schema,
             self._rows + other._rows,
-            self._prov + other._prov,
+            self.provenance + other.provenance,
         )
 
     def join(
@@ -433,6 +450,7 @@ class Relation:
 
         rows: list[Row] = []
         provs: list[ProvExpr] = []
+        lprov, rprov = self.provenance, other.provenance
         for i, lrow in enumerate(self._rows):
             key = tuple(_freeze(lrow[k]) for k in left_idx)
             if any(k is None for k in key):
@@ -440,7 +458,7 @@ class Relation:
             for j in table.get(key, ()):
                 rrow = other._rows[j]
                 rows.append(lrow + tuple(rrow[k] for k in right_keep))
-                provs.append(times(self._prov[i], other._prov[j]))
+                provs.append(times(lprov[i], rprov[j]))
         return self._derive(
             f"{self.name}⋈{other.name}", out_schema, rows, provs
         )
@@ -468,12 +486,13 @@ class Relation:
         for row in other._rows:
             keys.add(tuple(_freeze(row[i]) for i in right_idx))
         rows = list(inner._rows)
-        provs = list(inner._prov)
+        provs = list(inner.provenance)
+        lprov = self.provenance
         for i, lrow in enumerate(self._rows):
             key = tuple(_freeze(lrow[k]) for k in left_idx)
             if any(k is None for k in key) or key not in keys:
                 rows.append(lrow + (None,) * n_right)
-                provs.append(self._prov[i])
+                provs.append(lprov[i])
         return self._derive(inner.name, inner.schema, rows, provs)
 
     def aggregate(
@@ -510,6 +529,7 @@ class Relation:
 
         rows: list[Row] = []
         provs: list[ProvExpr] = []
+        prov = self.provenance
         for key, members in groups.items():
             first_row = self._rows[members[0]]
             out = [first_row[k] for k in group_idx]
@@ -524,7 +544,7 @@ class Relation:
                     ]
                     out.append(_AGGS[agg](vals))
             rows.append(tuple(out))
-            provs.append(plus(*(self._prov[m] for m in members)))
+            provs.append(plus(*(prov[m] for m in members)))
         return self._derive(self.name, Schema(out_cols), rows, provs)
 
     def order_by(self, names: Sequence[str], descending: bool = False) -> "Relation":
@@ -534,26 +554,30 @@ class Relation:
             key=lambda i: tuple(_sort_key(self._rows[i][k]) for k in idx),
             reverse=descending,
         )
+        prov = self.provenance
         return self._derive(
             self.name,
             self.schema,
             [self._rows[i] for i in order],
-            [self._prov[i] for i in order],
+            [prov[i] for i in order],
         )
 
     def limit(self, n: int) -> "Relation":
-        return self._derive(self.name, self.schema, self._rows[:n], self._prov[:n])
+        return self._derive(
+            self.name, self.schema, self._rows[:n], self.provenance[:n]
+        )
 
     def sample(self, n: int, rng) -> "Relation":
         """Uniform sample without replacement (``rng``: numpy Generator)."""
         if n >= len(self._rows):
             return self
         idx = rng.choice(len(self._rows), size=n, replace=False)
+        prov = self.provenance
         return self._derive(
             self.name,
             self.schema,
             [self._rows[i] for i in idx],
-            [self._prov[i] for i in idx],
+            [prov[i] for i in idx],
         )
 
     def map_column(self, name: str, fn: Callable[[Any], Any]) -> "Relation":
@@ -568,7 +592,7 @@ class Relation:
 
     def with_provenance_root(self, source: str) -> "Relation":
         """Re-tag every row as a base tuple of ``source`` (ingestion reset)."""
-        prov = [ProvToken(source, i) for i in range(len(self._rows))]
+        prov = DeferredProvenance(len(self._rows), source=source)
         return self._derive(self.name, self.schema, self._rows, prov)
 
     def without_provenance(self) -> "Relation":

@@ -10,13 +10,17 @@ The properties under test:
   façade fed the same operations, every response stamped ``as_of``;
 * **edge enforcement** — missing/bad credentials are 401, foreign-seller
   mutations are 403, over-budget clients are 429 with ``Retry-After``,
-  malformed bodies are 422;
+  malformed bodies are 422, and a malformed or oversized
+  ``Content-Length`` is refused with a typed JSON error before the body
+  is read;
 * **snapshot reads** — a pinned search+plan over HTTP answers both
   against one graph version even while writers churn.
 """
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -39,6 +43,7 @@ from repro.platform import (
     STATUS_BY_ERROR,
     status_for,
 )
+from repro.platform.http import MAX_BODY_BYTES
 from repro.relation import Column, Relation
 from repro.wtp import PriceCurve, QueryCompletenessTask, WTPFunction
 
@@ -299,6 +304,48 @@ def test_validation_failures_are_422(gateway):
             "columns": [["k", "int", None]],
             "rows": [["not-an-int"]],
         }})
+
+
+def refused_request(gw, content_length: str) -> tuple[int, dict, dict]:
+    """POST with a hand-written ``Content-Length`` and no body over a raw
+    socket, reading until the server hangs up; returns (status, headers,
+    json body).  A server that waits for the body times the read out."""
+    host, port = gw.address
+    with socket.create_connection((host, port), timeout=3) as sock:
+        sock.sendall(
+            b"POST /search HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, payload = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        key.strip().lower(): value.strip()
+        for key, _, value in (line.partition(":") for line in lines[1:])
+    }
+    return int(lines[0].split()[1]), headers, json.loads(payload)
+
+
+@pytest.mark.parametrize("content_length, says", [
+    ("-1", "'-1'"),
+    ("abc", "'abc'"),
+    (str(MAX_BODY_BYTES + 1), f"{MAX_BODY_BYTES}-byte limit"),
+    ("9" * 5000, f"{MAX_BODY_BYTES}-byte limit"),
+], ids=["negative", "non-integer", "over-cap", "over-int-digits"])
+def test_bad_content_length_is_refused_unread(gateway, content_length, says):
+    got, headers, payload = refused_request(gateway, content_length)
+    assert got == 422
+    assert headers["content-type"] == "application/json"
+    assert headers["connection"] == "close"
+    assert payload["error"]["type"] == "InvalidRequestError"
+    assert says in payload["error"]["message"]
+    assert len(payload["error"]["message"]) < 100
+    assert "as_of" in payload
+    # the gateway keeps serving, and counted the refusal
+    stats = client(gateway).stats()
+    assert stats["requests"]["errors"] == {"422": 1}
 
 
 def test_unknown_routes_and_names_are_404(gateway):
