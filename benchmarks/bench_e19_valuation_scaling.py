@@ -6,8 +6,8 @@ are more computationally efficient").  E3 compared *estimators*; this
 benchmark compares *execution engines* for the same estimator: the batched
 path (permutations as NumPy index matrices, marginals through
 ``CoalitionGame.value_batch`` against a vectorized characteristic function)
-against the original scalar permutation loop, on E3-style capped-additive
-games.
+against the original scalar permutation loop (``oracles.valuation``), on
+E3-style capped-additive games.
 
 Expected shape: identical allocations (same seed, same permutations —
 differences are floating-point accumulation order only, far below 1e-6) at
@@ -23,6 +23,11 @@ import time
 import numpy as np
 import pytest
 
+from oracles.valuation import (
+    scalar_knn_shapley,
+    scalar_monte_carlo_shapley,
+    scalar_truncated_monte_carlo_shapley,
+)
 from repro.valuation import (
     knn_shapley,
     monte_carlo_shapley,
@@ -55,8 +60,8 @@ def mc_sweep(smoke):
     for n in sizes:
         t_scalar, scalar = best_of(
             repeats,
-            lambda n=n: monte_carlo_shapley(
-                capped_game(n), n_permutations, seed=1, batched=False
+            lambda n=n: scalar_monte_carlo_shapley(
+                capped_game(n), n_permutations, seed=1
             ),
         )
         t_batched, batched = best_of(
@@ -117,9 +122,9 @@ def test_e19_truncated_mc_matches_and_speeds_up(smoke, table):
     repeats = 1 if smoke else 3
     t_scalar, scalar = best_of(
         repeats,
-        lambda: truncated_monte_carlo_shapley(
+        lambda: scalar_truncated_monte_carlo_shapley(
             capped_game(n), n_permutations, truncation_tolerance=0.02,
-            seed=1, batched=False,
+            seed=1,
         ),
     )
     t_batched, batched = best_of(
@@ -151,7 +156,7 @@ def test_e19_knn_full_distance_matrix(smoke, table):
     x_test, y_test = x[:n_test], y[:n_test]
     repeats = 1 if smoke else 3
     t_scalar, scalar = best_of(
-        repeats, knn_shapley, x, y, x_test, y_test, 5, False
+        repeats, scalar_knn_shapley, x, y, x_test, y_test, 5
     )
     t_batched, batched = best_of(
         repeats, knn_shapley, x, y, x_test, y_test, 5

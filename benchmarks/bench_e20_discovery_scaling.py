@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from oracles.indexing import rebuilt_index
 from repro.discovery import IndexBuilder, MetadataEngine
 from repro.relation import Column, Relation
 
@@ -99,8 +100,9 @@ def sweep(smoke):
         rng = random.Random(7)
         relations = [make_dataset(i, rng) for i in range(n)]
         engine = MetadataEngine(num_perm=NUM_PERM)
-        inc = IndexBuilder(engine)  # incremental (the default)
-        oracle = IndexBuilder(engine, incremental=False)
+        inc = IndexBuilder(engine)
+        # the oracle rebuilds only when timed: it takes no deltas
+        oracle = IndexBuilder(engine, subscribe=False)
         engine.register_batch(relations)
         inc.join_candidates()  # prime: one full build into the LSH pipeline
         oracle.join_candidates()
@@ -179,10 +181,9 @@ def test_e20_candidate_sets_identical_under_churn(smoke):
     relations = [make_dataset(i, rng) for i in range(n)]
     engine = MetadataEngine(num_perm=NUM_PERM)
     inc = IndexBuilder(engine)
-    oracle = IndexBuilder(engine, incremental=False)
     engine.register_batch(relations)
     for i in (1, n // 2, n - 2):
         engine.register(perturb(relations[i], rep=i))
     engine.remove(relations[0].name)
     engine.register(make_dataset(n + 7, rng))
-    assert_identical(inc, oracle)
+    assert_identical(inc, rebuilt_index(engine))

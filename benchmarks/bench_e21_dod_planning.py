@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from oracles.planning import ExhaustiveDoDEngine
 from repro.discovery import DiscoveryEngine, IndexBuilder, MetadataEngine
 from repro.integration import DoDEngine, MashupRequest
 from repro.relation import Column, Relation
@@ -78,8 +79,8 @@ def sweep(smoke):
         # plan caching off: this experiment measures enumerator work, and
         # a cached second request would zero the oracle's counters
         beam = DoDEngine(engine, index, discovery, plan_cache=False)
-        oracle = DoDEngine(
-            engine, index, discovery, exhaustive=True, plan_cache=False
+        oracle = ExhaustiveDoDEngine(
+            engine, index, discovery, plan_cache=False
         )
         engine.register_batch(make_dataset(i, rng) for i in range(n))
         assert len(index.components()) == N_CLUSTERS

@@ -20,7 +20,8 @@ Three-way ingest comparison on wide and tall corpora:
   registration).  The process-wide token memo is inert here: cold
   registration means every token is first-sight.
 * **scalar reference** — today's value-at-a-time oracle
-  (``columnar=False``), kept for bit-identical output checks.
+  (``oracles.profiling``, registered through the same
+  ``MetadataEngine.register`` path), kept for bit-identical output checks.
 * **columnar** — the default fast path.
 
 Gates: columnar ≥2.5x over legacy end-to-end on both shapes (measured
@@ -42,15 +43,16 @@ uncached planner's.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 
 import numpy as np
 import pytest
 
+from oracles.profiling import scalar_profiling
 from repro import DataMarket, internal_market
 from repro.discovery.metadata import MetadataEngine
-from repro.discovery.profiler import set_columnar_profiling
 from repro.relation import Column, Relation
 from repro.relation.relation import _freeze_row
 from repro.sketches import CategoricalSummary, MinHash, NumericSummary
@@ -261,15 +263,12 @@ def assert_matches_legacy(columnar_profiles, legacy_profiles):
 def timed_register(specs, columnar: bool) -> tuple[float, list]:
     relations = fresh_relations(specs)
     _TOKEN_CACHE.clear()
-    previous = set_columnar_profiling(columnar)
     engine = MetadataEngine(num_perm=NUM_PERM)
-    try:
+    with contextlib.nullcontext() if columnar else scalar_profiling():
         t0 = time.perf_counter()
         for r in relations:
             engine.register(r)
         elapsed = time.perf_counter() - t0
-    finally:
-        set_columnar_profiling(previous)
     return elapsed, [engine.snapshot(r.name).profile for r in relations]
 
 

@@ -2,8 +2,9 @@
 
 The PR 6 API redesign makes the mashup pipeline lazy: plans assemble an
 immutable expression tree and nothing touches the rows until the tree is
-collected on an engine.  The **iteration engine** executes the tree with
-the eager operators node-for-node — exactly the old ``MashupPlan.execute``
+collected on an engine.  The **iteration engine** (the test suite's
+oracle, ``oracles.execution``) executes the tree with the eager operators
+node-for-node — exactly the old ``MashupPlan.execute``
 behavior, materializing every intermediate (an N-way join builds N-1 full
 wide relations, then the final projection throws most of their columns
 away).  The **columnar engine** pushes selections toward the leaves and
@@ -31,8 +32,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles.execution import IterationEngine
 from repro.mashup import JoinStep, MashupPlan
-from repro.relation import Column, ColumnarEngine, IterationEngine, Relation
+from repro.relation import Column, ColumnarEngine, Relation
 
 N_DATASETS = 5
 N_PAYLOAD = 8  # per-dataset value columns; the 5-way join carries ~40

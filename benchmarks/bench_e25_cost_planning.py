@@ -32,6 +32,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles.execution import IterationEngine
+from oracles.planning import HopCountDoDEngine, install_planner
 from repro.integration import MashupRequest
 from repro.integration.plan import _qualify
 from repro.mashup import MashupBuilder
@@ -40,7 +42,6 @@ from repro.relation import (
     Column,
     ColumnarEngine,
     In,
-    IterationEngine,
     LeafRelation,
     Range,
     Relation,
@@ -70,7 +71,9 @@ def build_market(cost_model: bool, n_orders: int, dup: int, cover_frac: float):
         [Column("s_code", "int"), Column("s_attr", "str")],
         [(i, f"st{i}") for i in range(int(n_s * cover_frac))],
     )
-    b = MashupBuilder(min_overlap=0.15, cost_model=cost_model)
+    b = MashupBuilder(min_overlap=0.15)
+    if not cost_model:
+        install_planner(b, HopCountDoDEngine)
     b.add_dataset(orders, owner="a")
     b.add_dataset(events, owner="b")
     b.add_dataset(status, owner="c")

@@ -245,7 +245,7 @@ def service_run(tmp_path_factory, request):
     elapsed = time.perf_counter() - t_start
 
     service.flush()
-    status = service.status()
+    status = service.stats()
     service.close()
 
     by_version: dict[int, set[str]] = {}
@@ -326,7 +326,7 @@ def test_no_reader_observed_a_torn_version(service_run):
 
 def test_every_concurrent_write_applied(service_run):
     status = service_run["status"]
-    assert status["failed"] == 0
+    assert status["writes_failed"] == 0
     # base + one delta per concurrent write
     assert status["graph_version"] >= service_run["writes"]
-    assert status["pending"] == 0
+    assert status["queue_depth"] == 0

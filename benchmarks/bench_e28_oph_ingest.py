@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import gc
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -60,9 +60,9 @@ from bench_e23_ingest_fastpath import (
     fresh_relations,
     legacy_ingest,
 )
+from oracles.profiling import scalar_profiling
 from repro import DataMarket, internal_market
 from repro.discovery.metadata import MetadataEngine
-from repro.discovery.profiler import set_columnar_profiling
 from repro.platform.store import MarketStore, StoreError
 from repro.relation.columnar import pack_value
 from repro.sketches.minhash import _TOKEN_CACHE
@@ -93,8 +93,7 @@ def timed_register(
     straight into the gate ratios."""
     best = float("inf")
     profiles = []
-    previous = set_columnar_profiling(columnar)
-    try:
+    with nullcontext() if columnar else scalar_profiling():
         for _ in range(repeats):
             relations = fresh_relations(specs)
             _TOKEN_CACHE.clear()
@@ -109,8 +108,6 @@ def timed_register(
                 profiles = [
                     engine.snapshot(r.name).profile for r in relations
                 ]
-    finally:
-        set_columnar_profiling(previous)
     return best, profiles
 
 

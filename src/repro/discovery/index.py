@@ -24,16 +24,16 @@ join paths and prunes plan assignments spanning disconnected components via
 the :meth:`IndexBuilder.components` / :meth:`IndexBuilder.reachable` API,
 which stays correct under incremental register/update/remove deltas.
 
-Maintenance is **incremental** by default: the builder keeps a persistent
+Maintenance is **incremental**: the builder keeps a persistent
 :class:`~repro.sketches.lsh.LSHIndex` over column MinHash signatures plus a
 semantic-tag inverted index, and on every :class:`MetadataDelta` re-scores
 only the changed dataset's columns against their bucketed neighbours,
 patching candidates and the graph in place — removals prune, updates
-re-score.  With the default single-row banding the neighbour set provably
-covers every pair the exhaustive scorer would emit (any candidate needs
-either estimated overlap > 0 or a shared semantic tag), so incremental and
-full-rebuild modes produce identical output.  The O(C²) full rebuild stays
-available as the reference oracle behind ``incremental=False``.
+re-score.  With single-row banding the neighbour set provably covers every
+pair the exhaustive scorer would emit (any candidate needs either estimated
+overlap > 0 or a shared semantic tag), so the patched state is identical
+to an O(C²) :meth:`IndexBuilder.refresh` rebuild — the reference oracle
+the tests run on a ``subscribe=False`` builder.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ from ..sketches import LSHIndex
 from .metadata import MetadataDelta, MetadataEngine
 from .profiler import ColumnProfile, TableProfile, name_similarity
 from .stats import FanoutEstimate, combine_composite, estimate_fanouts
+
+#: minimum column-name similarity for a name-evidence join candidate
+_MIN_NAME_SIMILARITY = 0.8
+#: signature rows per LSH band: one, so every column pair with estimated
+#: overlap > 0 shares a bucket and the patched index misses no candidate
+#: the full rebuild would score
+_LSH_ROWS_PER_BAND = 1
 
 
 @dataclass(frozen=True)
@@ -138,20 +145,10 @@ class IndexBuilder:
         self,
         engine: MetadataEngine,
         min_overlap: float = 0.5,
-        min_name_similarity: float = 0.8,
         subscribe: bool = True,
-        incremental: bool = True,
-        lsh_bands: int | None = None,
     ):
         self.engine = engine
         self.min_overlap = min_overlap
-        self.min_name_similarity = min_name_similarity
-        #: patch on deltas (default) vs. full O(C²) rebuild on any change
-        self.incremental = incremental
-        #: LSH bands for neighbour bucketing; ``None`` means one row per
-        #: band (exact recall — incremental output matches the oracle).
-        #: Fewer bands trade recall for smaller buckets.
-        self.lsh_bands = lsh_bands
         self._profiles: dict[str, TableProfile] = {}
         #: registration order, mirroring the engine's lifecycle order; fixes
         #: candidate orientation identically to the full-rebuild enumeration
@@ -190,9 +187,6 @@ class IndexBuilder:
 
     # -- incremental maintenance -----------------------------------------
     def _on_delta(self, delta: MetadataDelta) -> None:
-        if not self.incremental:
-            self._stale = True
-            return
         if self._stale:
             return  # a pending full build will absorb this change
         if delta.kind == "removed":
@@ -244,7 +238,7 @@ class IndexBuilder:
             if self._lsh is None:
                 num_perm = col.signature.num_perm
                 self._lsh = LSHIndex(
-                    num_perm=num_perm, bands=self.lsh_bands or num_perm
+                    num_perm=num_perm, bands=num_perm // _LSH_ROWS_PER_BAND
                 )
             self._lsh.add(col.key, col.signature)
             if col.semantic is not None:
@@ -461,7 +455,7 @@ class IndexBuilder:
                 max(overlap, 0.75), "semantic", pk_side, fanout,
             )
         name_sim = name_similarity(a.column, b.column)
-        if joinable and name_sim >= self.min_name_similarity and overlap > 0.1:
+        if joinable and name_sim >= _MIN_NAME_SIMILARITY and overlap > 0.1:
             return JoinCandidate(
                 a.dataset, a.column, b.dataset, b.column,
                 0.5 * name_sim + 0.5 * overlap, "name", pk_side, fanout,
@@ -508,53 +502,6 @@ class IndexBuilder:
         """
         self._ensure_fresh()
         return self._graph_version
-
-    def join_path(self, source: str, target: str) -> list[JoinPredicate]:
-        """Cheapest join path between two datasets (weight = 1 - score; for
-        parallel edges networkx takes the cheapest, i.e. the best-scored
-        predicate, so path costs match the old single-best-edge graph).
-        Each step is the best predicate of its pair — composite preferred on
-        score ties, as joining on more equality pairs is more selective —
-        oriented so ``left_dataset`` is the already-reached side."""
-        self._ensure_fresh()
-        g = self._graph
-        if source not in g or target not in g:
-            raise DiscoveryError(
-                f"unknown dataset in join_path: {source!r} or {target!r}"
-            )
-        if self.component_of(source) != self.component_of(target):
-            raise DiscoveryError(
-                f"no join path between {source!r} and {target!r}"
-            )
-        try:
-            # a callable weight on a MultiGraph receives the keyed dict of
-            # all parallel edges: the pair's cost is its best predicate's
-            nodes = nx.shortest_path(
-                g, source, target,
-                weight=lambda u, v, d: 1.0 - max(
-                    attrs["score"] for attrs in d.values()
-                ),
-            )
-        except nx.NetworkXNoPath:  # pragma: no cover - component check above
-            raise DiscoveryError(
-                f"no join path between {source!r} and {target!r}"
-            ) from None
-        steps = []
-        for u, v in zip(nodes, nodes[1:]):
-            d = min(
-                g.get_edge_data(u, v).values(),
-                key=lambda d: (-d["score"], -len(d["pairs"]), d["pairs"]),
-            )
-            pred = JoinPredicate(
-                d["left_dataset"],
-                v if d["left_dataset"] == u else u,
-                d["pairs"], d["score"], d["evidence"], d["pk_side"],
-                d["fanout"],
-            )
-            if pred.left_dataset != u:
-                pred = pred.reversed()
-            steps.append(pred)
-        return steps
 
     def neighbours(self, dataset: str) -> list[str]:
         self._ensure_fresh()
@@ -698,8 +645,8 @@ class IndexBuilder:
         """The banded bucket keys this builder derives for a signature
         (pure function of the signature and the banding configuration —
         what the durable store persists per column)."""
-        bands = self.lsh_bands or signature.num_perm
-        rows = signature.num_perm // bands
+        rows = _LSH_ROWS_PER_BAND
+        bands = signature.num_perm // rows
         return [
             tuple(
                 int(x)

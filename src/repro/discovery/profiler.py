@@ -5,17 +5,16 @@ yields a value-distribution signature.  A :class:`ColumnProfile` packages the
 MinHash signature plus summary statistics; a :class:`TableProfile` is the
 per-dataset bundle stored inside context snapshots.
 
-Profiling is **columnar by default**: the relation's memoized
+Profiling is **columnar**: the relation's memoized
 :class:`~repro.relation.columnar.ColumnarView` computes one canonical
 ``repr`` per value, and that single pass feeds every consumer — the
 column content hash digests the view's concatenated separator-delimited
 byte buffer in one C-level BLAKE2b call, the MinHash signature folds the
 distinct reprs through the vectorized token hasher, and the categorical
-summary counts the same cached strings.  The original value-at-a-time
-implementations are kept as the **scalar reference oracle** behind
-``columnar=False`` (or :func:`set_columnar_profiling`); both paths produce
-bit-identical profiles, which the test suite asserts property-style over
-randomized dtypes.
+summary counts the same cached strings.  The profiles are bit-identical
+to the value-at-a-time implementations the test suite keeps as its scalar
+reference oracle, which it asserts property-style over randomized dtypes
+under both sketch schemes.
 """
 
 from __future__ import annotations
@@ -30,26 +29,9 @@ from heapq import nsmallest
 import numpy as np
 
 from ..relation import Relation
-from ..relation.columnar import pack_value, unpack_value
+from ..relation.columnar import unpack_value
 from ..sketches import CategoricalSummary, MinHash, NumericSummary
-from ..sketches.minhash import _hash_bytes_raw, hash_packed
-
-#: module default for the columnar fast path; flip with
-#: :func:`set_columnar_profiling` to fall back to the scalar reference
-#: oracle globally (e.g. when benchmarking one against the other)
-_COLUMNAR_DEFAULT = True
-
-
-def set_columnar_profiling(enabled: bool) -> bool:
-    """Set the module-wide default profiling mode; returns the old value."""
-    global _COLUMNAR_DEFAULT
-    previous = _COLUMNAR_DEFAULT
-    _COLUMNAR_DEFAULT = bool(enabled)
-    return previous
-
-
-def _use_columnar(flag: bool | None) -> bool:
-    return _COLUMNAR_DEFAULT if flag is None else flag
+from ..sketches.minhash import hash_packed
 
 
 @dataclass(frozen=True)
@@ -142,37 +124,28 @@ def column_profile_from_record(
 
 
 def column_content_hash(
-    relation: Relation, name: str, *, columnar: bool | None = None,
-    scheme: str = "classic",
+    relation: Relation, name: str, *, scheme: str = "classic",
 ) -> str:
     """Deterministic hash of one column's values (order-sensitive).
 
-    Under the classic scheme both paths digest the same ``repr``-based
-    separator-delimited byte stream (columnar in one C-level update, the
-    scalar reference value-by-value), hence bit-identical digests.
+    Under the classic scheme it digests the ``repr``-based
+    separator-delimited byte stream in one C-level update.
 
     Under the ``"oph"`` scheme the stream is **repr-free** where the dtype
     allows: packed canonical rows for int/float/bool columns, a
-    length-prefixed UTF-8 concatenation for str columns (both with scalar
-    reference loops that are bit-identical to the vectorized buffers);
+    length-prefixed UTF-8 concatenation for str columns;
     ``any``-typed and subclass-bearing columns keep the repr stream.
     Scheme-dependent by design — the two schemes hash different canonical
     encodings, and the store refuses to mix them.
     """
     if scheme == "oph":
-        return _oph_column_hash(relation, name, _use_columnar(columnar))
-    if _use_columnar(columnar):
-        return hashlib.blake2b(
-            relation.columnar.canonical_bytes(name), digest_size=16
-        ).hexdigest()
-    h = hashlib.blake2b(digest_size=16)
-    for v in relation.column(name):
-        h.update(repr(v).encode())
-        h.update(b"\x1f")
-    return h.hexdigest()
+        return _oph_column_hash(relation, name)
+    return hashlib.blake2b(
+        relation.columnar.canonical_bytes(name), digest_size=16
+    ).hexdigest()
 
 
-def _oph_column_hash(relation: Relation, name: str, columnar: bool) -> str:
+def _oph_column_hash(relation: Relation, name: str) -> str:
     """Repr-free column hash (the ``"oph"`` canonical stream), memoized on
     the columnar view — the table digest computes every column's hash up
     front and the per-column profiles reuse them."""
@@ -183,34 +156,16 @@ def _oph_column_hash(relation: Relation, name: str, columnar: bool) -> str:
     dtype = relation.schema[name].dtype
     h = hashlib.blake2b(digest_size=16)
     if view.packable(name):
-        if columnar:
-            h.update(view.packed_matrix(name).tobytes())
-        else:
-            for v in view.values(name):
-                h.update(pack_value(v))
+        h.update(view.packed_matrix(name).tobytes())
     elif dtype == "str" and (stream := view.utf8_stream(name)) is not None:
-        # the join-validated stream doubles as the branch gate (shared
-        # with the scalar oracle via the view's cached verdict)
-        if columnar:
-            lens, payload = stream
-            h.update(lens.astype("<i8").tobytes())
-            h.update(payload)
-        else:
-            values = view.values(name)
-            lens = np.fromiter(
-                (-1 if v is None else len(v) for v in values),
-                dtype=np.int64, count=len(values),
-            )
-            h.update(lens.astype("<i8").tobytes())
-            for v in values:
-                if v is not None:
-                    h.update(v.encode())
+        # the join-validated stream doubles as the branch gate
+        lens, payload = stream
+        h.update(lens.astype("<i8").tobytes())
+        h.update(payload)
     else:
         # no sound repr-free encoding (any-typed or subclass-bearing
         # column): fall back to the classic repr stream
-        digest = column_content_hash(
-            relation, name, columnar=columnar, scheme="classic"
-        )
+        digest = column_content_hash(relation, name, scheme="classic")
         view.oph_hashes[name] = digest
         return digest
     digest = h.hexdigest()
@@ -218,10 +173,7 @@ def _oph_column_hash(relation: Relation, name: str, columnar: bool) -> str:
     return digest
 
 
-def table_content_hash(
-    relation: Relation, *, columnar: bool | None = None,
-    scheme: str = "classic",
-) -> str:
+def table_content_hash(relation: Relation, *, scheme: str = "classic") -> str:
     """Scheme-aware digest of a whole relation, used for change detection
     and component fingerprints.
 
@@ -239,7 +191,7 @@ def table_content_hash(
     h.update(repr(relation.schema).encode())
     h.update(str(len(relation)).encode())
     for name in relation.schema.names:
-        h.update(_oph_column_hash(relation, name, _use_columnar(columnar)).encode())
+        h.update(_oph_column_hash(relation, name).encode())
     return h.hexdigest()
 
 
@@ -312,7 +264,6 @@ def _categorical_of_packed(
 
 def _profile_column_oph(
     relation: Relation, name: str, num_perm: int, content_hash: str,
-    columnar: bool,
 ) -> ColumnProfile:
     """The repr-free profiling path of the ``"oph"`` scheme.
 
@@ -321,8 +272,6 @@ def _profile_column_oph(
     raw values (no repr quoting).  Columns without a sound repr-free
     encoding fall back to repr tokens — still folded through the OPH
     sketch, so every signature in an OPH corpus shares one scheme.
-    ``columnar=False`` is the scalar reference oracle: per-value
-    ``pack_value``/``_hash_bytes_raw`` loops, bit-identical signatures.
     """
     col = relation.schema[name]
     view = relation.columnar
@@ -331,65 +280,30 @@ def _profile_column_oph(
     numeric = None
     signature = MinHash(num_perm=num_perm, scheme="oph")
     if view.packable(name):
-        if columnar:
-            uniq, counts = view.packed_distinct(name)
-            signature.update_hashes(hash_packed(uniq), len(uniq))
-            categorical = _categorical_of_packed(
-                uniq, counts, nulls, col.dtype
-            )
-        else:
-            packed = Counter(
-                pack_value(v)
-                for v in view.values(name) if v is not None
-            )
-            uniq = sorted(packed)  # deterministic fold order (irrelevant
-            # to the signature, which is order-insensitive by min-fold)
-            signature.update_hashes(
-                np.fromiter(
-                    map(_hash_bytes_raw, uniq), dtype=np.int64,
-                    count=len(uniq),
-                ),
-                len(uniq),
-            )
-            categorical = CategoricalSummary.of_counts(
-                {_packed_display(r, col.dtype): packed[r] for r in uniq},
-                nulls,
-            )
+        uniq, counts = view.packed_distinct(name)
+        signature.update_hashes(hash_packed(uniq), len(uniq))
+        categorical = _categorical_of_packed(uniq, counts, nulls, col.dtype)
         distinct_count = len(uniq)
         if col.dtype in ("int", "float"):
             numeric = NumericSummary.of_array(view.numeric_array(name), nulls)
     elif col.dtype == "str" and view.utf8_able(name):
-        if columnar:
-            counts = view.value_counts_any(name)
-            tokens = (
-                set(counts) if counts is not None
-                else {v for v in view.values(name) if v is not None}
-            )
-            signature.update_tokens(tokens)
-            freq = counts if counts is not None else Counter(
-                v for v in view.values(name) if v is not None
-            )
-        else:
-            tokens = {v for v in view.values(name) if v is not None}
-            signature.update_tokens(tokens, vectorize=False)
-            freq = Counter(
-                v for v in view.values(name) if v is not None
-            )
+        counts = view.value_counts_any(name)
+        tokens = (
+            set(counts) if counts is not None
+            else {v for v in view.values(name) if v is not None}
+        )
+        signature.update_tokens(tokens)
+        freq = counts if counts is not None else Counter(
+            v for v in view.values(name) if v is not None
+        )
         distinct_count = len(tokens)
         categorical = CategoricalSummary.of_counts(freq, nulls)
     else:
         # any-typed / subclass-bearing: repr tokens, OPH fold
-        if columnar:
-            distinct = view.distinct_reprs(name)
-            signature.update_tokens(distinct)
-            non_null, _ = view.non_null(name)
-            freq = Counter(map(str, non_null))
-        else:
-            values = relation.column(name)
-            non_null = [v for v in values if v is not None]
-            distinct = {repr(v) for v in non_null}
-            signature.update_tokens(distinct, vectorize=False)
-            freq = Counter(map(str, non_null))
+        distinct = view.distinct_reprs(name)
+        signature.update_tokens(distinct)
+        non_null, _ = view.non_null(name)
+        freq = Counter(map(str, non_null))
         distinct_count = len(distinct)
         if col.dtype in ("int", "float"):
             numeric = NumericSummary.of_array(view.numeric_array(name), nulls)
@@ -411,62 +325,41 @@ def _profile_column_oph(
 
 def profile_column(
     relation: Relation, name: str, num_perm: int = 64,
-    content_hash: str | None = None, *, columnar: bool | None = None,
-    scheme: str = "classic",
+    content_hash: str | None = None, *, scheme: str = "classic",
 ) -> ColumnProfile:
     """Sketch one column; pass ``content_hash`` when already computed."""
     col = relation.schema[name]
-    use_columnar = _use_columnar(columnar)
     if scheme == "oph":
         return _profile_column_oph(
             relation, name, num_perm,
-            content_hash or column_content_hash(
-                relation, name, columnar=use_columnar, scheme=scheme
-            ),
-            use_columnar,
+            content_hash or column_content_hash(relation, name, scheme=scheme),
         )
-    if use_columnar:
-        view = relation.columnar
-        nulls = view.null_count(name)
-        distinct = view.distinct_reprs(name)
-        n_non_null = len(view.values(name)) - nulls
-        signature = MinHash.of_tokens(distinct, num_perm=num_perm)
-        numeric = None
-        if col.dtype in ("int", "float"):
-            numeric = NumericSummary.of_array(view.numeric_array(name), nulls)
-        freq = view.categorical_counts(name)
-        if freq is None:
-            # no sound counting pass (float/any, tiny, or subclass-bearing
-            # column): derive counts from the cached repr/value vectors —
-            # the repr/str shortcuts apply only to exact builtin cells
-            non_null, non_null_reprs = view.non_null(name)
-            exact = view.values_exact(name)
-            if (
-                col.dtype == "float" and exact
-                and len(distinct) == n_non_null
-            ):
-                # str == repr for floats, and an all-unique (key-like)
-                # column needs no counting at all (repr is injective)
-                freq = dict.fromkeys(distinct, 1)
-            elif col.dtype in ("int", "float", "bool") and exact:
-                freq = Counter(non_null_reprs)
-            elif col.dtype == "str" and exact:
-                freq = Counter(non_null)  # str(v) is v for str values
-            else:
-                freq = Counter(map(str, non_null))
-        categorical = CategoricalSummary.of_counts(freq, nulls)
-    else:
-        values = relation.column(name)
-        non_null = [v for v in values if v is not None]
-        n_non_null = len(non_null)
-        distinct = {repr(v) for v in non_null}
-        signature = MinHash.of_tokens(
-            distinct, num_perm=num_perm, vectorize=False
-        )
-        numeric = None
-        if col.dtype in ("int", "float"):
-            numeric = NumericSummary.of(values)
-        categorical = CategoricalSummary.of(values)
+    view = relation.columnar
+    nulls = view.null_count(name)
+    distinct = view.distinct_reprs(name)
+    n_non_null = len(view.values(name)) - nulls
+    signature = MinHash.of_tokens(distinct, num_perm=num_perm)
+    numeric = None
+    if col.dtype in ("int", "float"):
+        numeric = NumericSummary.of_array(view.numeric_array(name), nulls)
+    freq = view.categorical_counts(name)
+    if freq is None:
+        # no sound counting pass (float/any, tiny, or subclass-bearing
+        # column): derive counts from the cached repr/value vectors —
+        # the repr/str shortcuts apply only to exact builtin cells
+        non_null, non_null_reprs = view.non_null(name)
+        exact = view.values_exact(name)
+        if col.dtype == "float" and exact and len(distinct) == n_non_null:
+            # str == repr for floats, and an all-unique (key-like)
+            # column needs no counting at all (repr is injective)
+            freq = dict.fromkeys(distinct, 1)
+        elif col.dtype in ("int", "float", "bool") and exact:
+            freq = Counter(non_null_reprs)
+        elif col.dtype == "str" and exact:
+            freq = Counter(non_null)  # str(v) is v for str values
+        else:
+            freq = Counter(map(str, non_null))
+    categorical = CategoricalSummary.of_counts(freq, nulls)
     return ColumnProfile(
         dataset=relation.name,
         column=name,
@@ -476,9 +369,7 @@ def profile_column(
         numeric=numeric,
         categorical=categorical,
         distinct_fraction=(len(distinct) / n_non_null) if n_non_null else 0.0,
-        content_hash=content_hash or column_content_hash(
-            relation, name, columnar=use_columnar
-        ),
+        content_hash=content_hash or column_content_hash(relation, name),
     )
 
 
@@ -487,7 +378,6 @@ def profile_table(
     num_perm: int = 64,
     previous: TableProfile | None = None,
     *,
-    columnar: bool | None = None,
     scheme: str = "classic",
 ) -> TableProfile:
     """Profile every column; with ``previous`` (the dataset's prior profile),
@@ -496,15 +386,12 @@ def profile_table(
     of a wide dataset only pays for the columns that actually moved.
     """
     prior = previous._by_name if previous is not None else {}
-    if _use_columnar(columnar):
-        relation.columnar.materialize()  # one transpose for all columns
+    relation.columnar.materialize()  # one transpose for all columns
     columns = []
     for name in relation.columns:
         col = relation.schema[name]
         old = prior.get(name)
-        content_hash = column_content_hash(
-            relation, name, columnar=columnar, scheme=scheme
-        )
+        content_hash = column_content_hash(relation, name, scheme=scheme)
         if (
             old is not None
             and old.content_hash
@@ -519,15 +406,13 @@ def profile_table(
         columns.append(
             profile_column(
                 relation, name, num_perm=num_perm, content_hash=content_hash,
-                columnar=columnar, scheme=scheme,
+                scheme=scheme,
             )
         )
     return TableProfile(
         dataset=relation.name,
         n_rows=len(relation),
-        content_hash=table_content_hash(
-            relation, columnar=columnar, scheme=scheme
-        ),
+        content_hash=table_content_hash(relation, scheme=scheme),
         columns=tuple(columns),
     )
 

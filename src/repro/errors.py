@@ -152,8 +152,7 @@ class SimulationError(ReproError):
 
 
 class ReproDeprecationWarning(DeprecationWarning):
-    """Warning category for deprecated library surface (manual engine
-    wiring superseded by :class:`repro.platform.DataMarket`).
+    """Warning category for deprecated library surface.
 
     A dedicated subclass lets the test suite escalate *our* deprecations to
     errors (``filterwarnings = error::repro.errors.ReproDeprecationWarning``)

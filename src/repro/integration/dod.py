@@ -19,21 +19,19 @@ rows, optional negotiation hints) the engine:
    from the relationship graph, and emits executable :class:`MashupPlan`s
    ranked by match quality.
 
-Plan enumeration is **join-graph-driven** by default: a component-pruned
-best-first (beam) search expands one attribute at a time, discards any
-partial assignment whose datasets span disconnected components of the
-relationship graph *before* scoring it, and emits complete assignments
-lazily in exact best-score order (the dataset-count penalty only grows as
-attributes are added, so the frontier bound is admissible).  The old
-exhaustive ``itertools.product`` sweep — score up to 200 covering
-combinations, sort, plan the best — is preserved behind ``exhaustive=True``
-as the reference oracle; both paths share scoring arithmetic and the
-deterministic ``(score, shape)`` tie-break, so their top-k plans are
-identical whenever the oracle's 200-combination window is not exceeded.
-:class:`PlannerStats` (``DoDEngine.last_stats``) counts assignments scored
-and pruned for benchmarking the two modes against each other.
+Plan enumeration is **join-graph-driven**: a component-pruned best-first
+search expands one attribute at a time, discards any partial assignment
+whose datasets span disconnected components of the relationship graph
+*before* scoring it, and emits complete assignments lazily in exact
+best-score order (the dataset-count penalty only grows as attributes are
+added, so the frontier bound is admissible).  Scoring arithmetic and the
+deterministic ``(score, shape)`` tie-break match the exhaustive
+``itertools.product`` sweep the test suite keeps as its reference oracle,
+so the top-k plans of both are identical whenever the oracle's
+200-combination window is not exceeded.  :class:`PlannerStats`
+(``DoDEngine.last_stats``) counts assignments scored and pruned.
 
-Join-tree construction is **cost-based** by default: instead of taking the
+Join-tree construction is **cost-based**: instead of taking the
 hop-count-shortest join path regardless of blow-up, ``_connect`` searches
 the relationship graph with an additive cost model over the per-edge
 fan-out estimates the index derives from profile stats (see
@@ -41,12 +39,11 @@ fan-out estimates the index derives from profile stats (see
 predicate-quality term ``(1 - score)`` and a constant hop charge — and
 dimension joins are attached onto the fact base in ascending estimated
 blow-up order, so low-fan-out (FK→PK-shaped) joins shrink or hold the
-running cardinality before any fanning join multiplies it.  The hop-count
-heuristic stays available as a comparison oracle behind
-``cost_model=False``.  Estimated vs. actual output cardinalities of every
-executed plan are recorded in :attr:`PlannerStats.cardinality_estimates`.
-Join paths are memoized per (start, target, graph version), so replanning
-against an unchanged graph never repeats a shortest-path search.
+running cardinality before any fanning join multiplies it.  Estimated vs.
+actual output cardinalities of every executed plan are recorded in
+:attr:`PlannerStats.cardinality_estimates`.  Join paths are memoized per
+(start, target, graph version), so replanning against an unchanged graph
+never repeats a shortest-path search.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ import heapq
 import itertools
 import math
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -71,7 +67,6 @@ from ..discovery import (
 from ..errors import (
     DiscoveryError,
     IntegrationError,
-    ReproDeprecationWarning,
     SchemaError,
     SynthesisError,
 )
@@ -157,16 +152,14 @@ class PlannerStats:
     """Work counters for one ``build_mashups`` call (``last_stats``)."""
 
     mode: str = "beam"
-    #: join-path connector used: "cost" (fan-out cost model) or "hops"
-    connector: str = "cost"
     #: True when the whole call was served from the graph-version plan cache
     cache_hit: bool = False
     #: complete covering assignments evaluated (scored) by the enumerator
     assignments_scored: int = 0
     #: partial assignments discarded because their datasets span
-    #: disconnected components of the relationship graph (beam mode only)
+    #: disconnected components of the relationship graph
     pruned_disconnected: int = 0
-    #: partial states expanded by the best-first search (beam mode only)
+    #: partial states expanded by the best-first search
     states_expanded: int = 0
     #: distinct-shaped assignments handed to the join-tree planner
     plans_attempted: int = 0
@@ -228,7 +221,6 @@ def _copy_mashup(m: Mashup) -> Mashup:
         matched=dict(m.matched),
         missing=m.missing,
         tree=m.tree,
-        engine=m.engine,
     )
 
 
@@ -258,7 +250,7 @@ def _hint_key(hint: TransformHint) -> tuple:
 def _candidate_rank(c: _Candidate) -> tuple:
     """Deterministic candidate order: best score first, ties broken on
     (dataset, column) and direct-before-transformed — equal-score plans are
-    stable across runs and identical in beam and exhaustive modes."""
+    stable across runs and identical to the exhaustive oracle's."""
     return (-c.score, c.dataset, c.column, c.transform is not None)
 
 
@@ -267,10 +259,8 @@ def _shape_key(combo) -> tuple:
     return tuple(sorted((c.dataset, c.column, c.attribute) for c in combo))
 
 
-#: per-attribute candidate fan-out shared by both enumeration modes
+#: per-attribute candidate fan-out of the plan enumerator
 _PER_ATTRIBUTE_FANOUT = 3
-#: the exhaustive oracle's historical cap on scored assignments
-_EXHAUSTIVE_CAP = 200
 #: penalty per extra dataset in an assignment (cheaper mashups first)
 _DATASET_PENALTY = 0.05
 #: constant per-edge charge in the cost model (prefers fewer joins when
@@ -280,11 +270,6 @@ _HOP_COST = 0.01
 
 class DoDEngine:
     """Assembles mashups from discovery results + synthesis + hints.
-
-    ``exhaustive=True`` selects the reference-oracle enumerator (full
-    product sweep, capped at 200 assignments); the default is the
-    component-pruned best-first search.  ``beam_width`` optionally bounds
-    the search frontier — ``None`` (the default) keeps the search exact.
 
     ``plan_cache`` (default on) memoizes whole ``build_mashups`` results
     keyed on the request identity.  Invalidation is **component-scoped**:
@@ -303,40 +288,17 @@ class DoDEngine:
         self,
         engine: MetadataEngine,
         index: IndexBuilder,
-        discovery: DiscoveryEngine | None = None,
-        exhaustive: bool = False,
-        beam_width: int | None = None,
+        discovery: DiscoveryEngine,
         plan_cache: bool = True,
         plan_cache_size: int = 128,
-        exec_engine: str = "columnar",
-        cost_model: bool = True,
     ):
         self.engine = engine
-        if discovery is None:
-            warnings.warn(
-                "constructing DoDEngine without an explicit DiscoveryEngine "
-                "is deprecated: pass one, or let repro.platform.DataMarket "
-                "wire the stack",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
         self.index = index
-        self.discovery = discovery or DiscoveryEngine(engine, index)
-        self.exhaustive = exhaustive
-        if beam_width is not None and beam_width < 1:
-            raise IntegrationError("beam_width must be >= 1 or None")
+        self.discovery = discovery
         if plan_cache_size < 1:
             raise IntegrationError("plan_cache_size must be >= 1")
-        self.beam_width = beam_width
-        #: execution engine for candidate plans ("columnar" pipelines the
-        #: join trees; "iteration" is the eager oracle)
-        self.exec_engine = exec_engine
-        self.processor = Processor(exec_engine)
-        #: True (default): connect assignments with the fan-out cost model
-        #: and order dimension joins by ascending estimated blow-up; False:
-        #: the pre-cost hop-count heuristic (the comparison oracle)
-        self.cost_model = cost_model
-        #: join-path memo: (start, target, cost_model) -> path result,
+        self.processor = Processor()
+        #: join-path memo: (start, target) -> path result,
         #: valid for exactly one graph version *of one index object* — the
         #: identity token guards against a re-attach to a different index
         #: whose version counter happens to coincide
@@ -477,8 +439,7 @@ class DoDEngine:
                     self._plan_cache.move_to_end(key)
                     self.cache_stats.hits += 1
                     self.last_stats = PlannerStats(
-                        mode="cached", connector=self._connector,
-                        cache_hit=True,
+                        mode="cached", cache_hit=True
                     )
                     return [_copy_mashup(m) for m in entry.mashups]
                 del self._plan_cache[key]
@@ -522,17 +483,10 @@ class DoDEngine:
                 self._plan_cache.move_to_end(key)
             return len(kept)
 
-    @property
-    def _connector(self) -> str:
-        return "cost" if self.cost_model else "hops"
-
     def _build_mashups(self, request: MashupRequest) -> list[Mashup]:
         # fresh stats up front: the empty-result early returns below must
         # not leave a previous call's (possibly cache_hit) stats behind
-        self.last_stats = PlannerStats(
-            mode="exhaustive" if self.exhaustive else "beam",
-            connector=self._connector,
-        )
+        self.last_stats = PlannerStats()
         attrs = list(request.attributes)
         if request.key is not None and request.key not in attrs:
             attrs = [request.key] + attrs
@@ -587,7 +541,7 @@ class DoDEngine:
             )
             mashups.append(
                 Mashup(plan=plan, tree=tree, matched=matched,
-                       missing=missing, engine=self.exec_engine)
+                       missing=missing)
             )
             if len(mashups) >= request.max_results:
                 break
@@ -742,19 +696,11 @@ class DoDEngine:
             sorted(candidates[a], key=_candidate_rank)[:_PER_ATTRIBUTE_FANOUT]
             for a in attrs
         ]
-        stats = PlannerStats(
-            mode="exhaustive" if self.exhaustive else "beam",
-            connector=self._connector,
-        )
+        stats = PlannerStats()
         self.last_stats = stats
-        if self.exhaustive:
-            assignments = self._assignments_exhaustive(per_attr, stats)
-        else:
-            assignments = self._assignments_beam(per_attr, stats)
-
         plans = []
         seen_shapes: set[tuple] = set()
-        for score, combo in assignments:
+        for score, combo in self._assignments(per_attr, stats):
             shape = _shape_key(combo)
             if shape in seen_shapes:
                 continue
@@ -772,26 +718,7 @@ class DoDEngine:
         stats.plans_built = len(plans)
         return plans
 
-    def _assignments_exhaustive(self, per_attr, stats):
-        """The reference oracle: score every covering assignment (capped at
-        200 in product order), then sort by (score, shape)."""
-        scored: list[tuple[float, tuple, tuple[_Candidate, ...]]] = []
-        combos = itertools.islice(
-            itertools.product(*per_attr), _EXHAUSTIVE_CAP
-        )
-        for combo in combos:
-            score = sum(c.score for c in combo) / len(combo)
-            # prefer fewer datasets (cheaper mashups) at equal match quality
-            n_datasets = len({c.dataset for c in combo})
-            stats.assignments_scored += 1
-            scored.append(
-                (score - _DATASET_PENALTY * (n_datasets - 1),
-                 _shape_key(combo), combo)
-            )
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        return ((score, combo) for score, _shape, combo in scored)
-
-    def _assignments_beam(self, per_attr, stats):
+    def _assignments(self, per_attr, stats):
         """Component-pruned best-first search over covering assignments.
 
         States extend one attribute at a time; a state whose datasets span
@@ -855,13 +782,6 @@ class DoDEngine:
                         (-bound, 0, tie + (idx,), next(seq),
                          depth + 1, new_combo, new_g, new_datasets),
                     )
-            if (
-                self.beam_width is not None
-                and len(frontier) > 2 * self.beam_width
-            ):
-                frontier = heapq.nsmallest(self.beam_width, frontier)
-                heapq.heapify(frontier)
-
 
     def _plan_for(
         self, combo: tuple[_Candidate, ...], request: MashupRequest
@@ -886,14 +806,9 @@ class DoDEngine:
         )
 
         rest = [d for d in datasets if d != base]
-        if self.cost_model:
-            # attach dimensions in ascending estimated blow-up: joins that
-            # shrink or hold the running cardinality run before any join
-            # that multiplies it, so intermediates stay small
-            rest.sort(key=lambda d: (self._blowup_from(base, d), d))
         joins: list[JoinStep] = []
         included = {base}
-        for dataset in rest:
+        for dataset in self._join_order(base, rest):
             if dataset in included:
                 continue
             step_list = self._connect(dataset, included)
@@ -921,6 +836,12 @@ class DoDEngine:
         return MashupPlan(base=base, joins=joins, transforms=transforms,
                           output=output)
 
+    def _join_order(self, base: str, rest: list[str]) -> list[str]:
+        """Attach dimensions in ascending estimated blow-up: joins that
+        shrink or hold the running cardinality run before any join that
+        multiplies it, so intermediates stay small."""
+        return sorted(rest, key=lambda d: (self._blowup_from(base, d), d))
+
     def _fact_scores(self, datasets: list[str]) -> dict[str, int]:
         """Per dataset: how many join-graph edges to *other assignment
         datasets* name it as the referencing (FK) side — i.e. the other
@@ -942,13 +863,11 @@ class DoDEngine:
     def _connect(
         self, target: str, included: set[str]
     ) -> list[JoinStep] | None:
-        """Join path from any included dataset to ``target``.
-
-        Cost mode picks the start whose path minimizes the summed edge
-        cost (fan-out blow-up + predicate quality + hop charge); hop mode
-        — the pre-cost comparison oracle — picks the fewest-step path.
-        Either way ties break on the start's name, so plans are stable
-        across runs regardless of set iteration order."""
+        """Join path from any included dataset to ``target``: the start
+        whose path minimizes the summed edge cost (fan-out blow-up +
+        predicate quality + hop charge), ties broken on the start's name,
+        so plans are stable across runs regardless of set iteration
+        order."""
         # consult the live join graph first: a dataset outside it (never
         # indexed, or pruned after a seller withdrew) has no path at all
         target_component = self.index.component_of(target)
@@ -963,17 +882,9 @@ class DoDEngine:
             path = self._path_for(start, target)
             if path is None:
                 continue
-            key = (
-                (self._path_cost(path), start)
-                if self.cost_model
-                else (len(path), start)
-            )
+            key = (self._path_cost(path), start)
             if best_key is None or key < best_key:
                 best_path, best_key = path, key
-                # hop mode cannot beat a single hop; later starts only
-                # tie on length and lose the name tie-break
-                if not self.cost_model and len(path) == 1:
-                    break
         if best_path is None:
             return None
         return [self._join_step(pred) for pred in best_path]
@@ -1059,8 +970,8 @@ class DoDEngine:
     def _path_for(
         self, start: str, target: str
     ) -> list[JoinPredicate] | None:
-        """Memoized join path: (start, target, connector) keyed, valid for
-        exactly one graph version — any graph mutation clears the memo."""
+        """Memoized join path: (start, target) keyed, valid for exactly one
+        graph version — any graph mutation clears the memo."""
         version = self.index.graph_version
         if (
             version != self._path_cache_version
@@ -1069,17 +980,13 @@ class DoDEngine:
             self._path_cache.clear()
             self._path_cache_version = version
             self._path_cache_index = self.index
-        key = (start, target, self.cost_model)
+        key = (start, target)
         if key in self._path_cache:
             self.last_stats.path_cache_hits += 1
             return self._path_cache[key]
         self.last_stats.path_cache_misses += 1
         try:
-            path = (
-                self._cost_path(start, target)
-                if self.cost_model
-                else self.index.join_path(start, target)
-            )
+            path = self._cost_path(start, target)
         except DiscoveryError:
             path = None
         self._path_cache[key] = path

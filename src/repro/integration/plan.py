@@ -14,17 +14,15 @@ projection/rename into an immutable expression tree — nothing touches the
 rows until the tree is collected (:meth:`MashupPlan.run`, or
 ``Mashup.relation`` on first access).  Provenance flows through untouched,
 which is what lets the revenue-sharing engine split the sale price over
-contributing datasets afterwards.  The eager :meth:`MashupPlan.execute` is
-kept as a deprecation shim over the iteration engine.
+contributing datasets afterwards.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import IntegrationError, ReproDeprecationWarning
+from ..errors import IntegrationError
 from .synthesis import MappingFunction
 from ..relation import Column, Relation, RelationExpr
 
@@ -163,22 +161,9 @@ class MashupPlan:
         return projected.rename(rename).relabel(name)
 
     def run(self, resolver: Callable[[str], Relation],
-            name: str = "mashup", engine=None) -> Relation:
-        """Build the plan's tree and collect it on ``engine`` (an engine
-        name, instance, or None for the default)."""
-        return self.build_tree(resolver, name).collect(engine)
-
-    def execute(self, resolver: Callable[[str], Relation],
-                name: str = "mashup") -> Relation:
-        """Deprecated eager executor: use :meth:`build_tree` /
-        :meth:`run` (the tree API) instead."""
-        warnings.warn(
-            "MashupPlan.execute is deprecated: build a lazy tree with "
-            "build_tree() and collect it (or call run()) instead",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(resolver, name, engine="iteration")
+            name: str = "mashup") -> Relation:
+        """Build the plan's tree and collect it."""
+        return self.build_tree(resolver, name).collect()
 
 
 class Mashup:
@@ -198,7 +183,6 @@ class Mashup:
         matched: dict[str, tuple[str, str, float]] | None = None,
         missing: tuple[str, ...] = (),
         tree: RelationExpr | None = None,
-        engine=None,
     ):
         if tree is None:
             if relation is None:
@@ -214,7 +198,6 @@ class Mashup:
         self.matched: dict[str, tuple[str, str, float]] = dict(matched or {})
         #: requested attributes nobody could supply (negotiation targets)
         self.missing = tuple(missing)
-        self.engine = engine
         self._relation = relation
 
     @property
@@ -230,10 +213,10 @@ class Mashup:
         """True once the result tree has been collected."""
         return self._relation is not None
 
-    def collect(self, engine=None) -> Relation:
-        """Materialize the result tree (``engine`` overrides the default;
-        engines are bit-identical, so the memoized result is shared)."""
-        rel = self.tree.collect(engine if engine is not None else self.engine)
+    def collect(self) -> Relation:
+        """Materialize the result tree (memoized on the tree, so shared
+        with plan-cache copies)."""
+        rel = self.tree.collect()
         if self._relation is None:
             self._relation = rel
         return rel

@@ -9,6 +9,7 @@ a full history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -112,8 +113,24 @@ class Ledger:
         return iter(self._history)
 
     def total_minted(self) -> float:
-        return sum(t.amount for t in self._history if t.source == "__mint__")
+        return math.fsum(
+            t.amount for t in self._history if t.source == "__mint__"
+        )
 
     def conservation_check(self) -> bool:
-        """Invariant: total balances == total minted (nothing leaks)."""
-        return abs(sum(self._balances.values()) - self.total_minted()) < 1e-6
+        """Invariant: total balances == total minted (nothing leaks), up to
+        the rounding float64 balances can accumulate.
+
+        Both totals are summed exactly (``math.fsum``), so each carries one
+        final rounding.  Every balance update ``b ± amount`` rounds once, by
+        at most 2**-53 of its result, and no result exceeds the minted total
+        T (balances stay non-negative and sum to T), so each update drifts
+        the balance total by at most 2**-53 * T.  A mint updates one
+        balance and a transfer two, so after h recorded movements the
+        drift is at most (2h + 2) * 2**-53 * T = (h + 1) * 2**-52 * T.
+        The tolerance never drops below the 1e-6 that covers small ledgers
+        (and the 1e-9 overdraft slack ``transfer`` allows).
+        """
+        minted = self.total_minted()
+        tolerance = max(1e-6, (len(self._history) + 1) * 2.0 ** -52 * minted)
+        return abs(math.fsum(self._balances.values()) - minted) <= tolerance

@@ -12,11 +12,9 @@ of Section 7.1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..discovery import DiscoveryEngine, IndexBuilder, MetadataEngine
-from ..errors import ReproDeprecationWarning
 from ..fusion import auto_signals, fuse
 from ..integration import DoDEngine, MashupRequest, TransformHint
 from ..relation import Relation
@@ -37,21 +35,15 @@ class MashupBuilder:
 
     def __init__(
         self, num_perm: int = 64, min_overlap: float = 0.5,
-        incremental: bool = True, exhaustive: bool = False,
-        beam_width: int | None = None, plan_cache: bool = True,
-        plan_cache_size: int = 128, exec_engine: str = "columnar",
-        cost_model: bool = True, scheme: str = "classic",
+        plan_cache: bool = True, plan_cache_size: int = 128,
+        scheme: str = "classic",
     ):
         self.metadata = MetadataEngine(num_perm=num_perm, scheme=scheme)
-        self.index = IndexBuilder(
-            self.metadata, min_overlap=min_overlap, incremental=incremental
-        )
+        self.index = IndexBuilder(self.metadata, min_overlap=min_overlap)
         self.discovery = DiscoveryEngine(self.metadata, self.index)
         self.dod = DoDEngine(
             self.metadata, self.index, self.discovery,
-            exhaustive=exhaustive, beam_width=beam_width,
             plan_cache=plan_cache, plan_cache_size=plan_cache_size,
-            exec_engine=exec_engine, cost_model=cost_model,
         )
         self._gap_demand: dict[str, int] = {}
         self._hints: list[TransformHint] = []
@@ -62,17 +54,6 @@ class MashupBuilder:
         credentials: str = "public",
     ) -> None:
         self.metadata.register(relation, owner=owner, credentials=credentials)
-
-    def add_datasets(self, relations, owner: str = "unknown") -> None:
-        warnings.warn(
-            "MashupBuilder.add_datasets is deprecated: register datasets "
-            "through repro.platform.DataMarket.register_dataset (or call "
-            "add_dataset per relation)",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        for r in relations:
-            self.add_dataset(r, owner=owner)
 
     def remove_dataset(self, name: str) -> None:
         """Withdraw a dataset; discovery indexes prune it in place."""

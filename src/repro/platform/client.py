@@ -14,7 +14,7 @@ Plan and round results cannot carry live expression trees or ledger
 objects across the network, so they come back as gateway-specific frozen
 views (:class:`MashupView` / :class:`GatewayPlanResult` /
 :class:`RoundSummary`) holding the *materialized* relations the server
-collected through the lazy tree engines.
+collected from the lazy trees.
 
 Only the stdlib is used (``http.client``); a connection is opened per
 request, which keeps the client trivially thread-safe.

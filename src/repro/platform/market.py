@@ -91,20 +91,18 @@ def _normalized_attributes(attributes: Iterable[str]) -> tuple[str, ...]:
 class DataMarket:
     """Facade over the full data-market stack, per deployed design.
 
-    Constructor knobs forward to the internal layer: ``num_perm`` /
-    ``min_overlap`` / ``incremental`` shape the discovery indexes,
-    ``exhaustive`` / ``beam_width`` select the DoD plan enumerator,
-    ``cost_model`` toggles fan-out cost-based join-tree planning (on by
-    default; off selects the hop-count comparison oracle), and
-    ``plan_cache`` / ``plan_cache_size`` control the component-scoped plan
-    cache (on by default, LRU-bounded): cached plans survive deltas in
-    unrelated join-graph components and are evicted exactly when a delta
-    touched a component they depend on.  ``scheme`` selects the MinHash
-    sketch scheme for every column profile: ``"classic"`` (the
-    ``num_perm``-way universal-hash fold) or ``"oph"`` (one-permutation
-    hashing with densification plus repr-free packed canonicalization —
-    the fast ingest path); a store replays only into a market of the
-    same scheme.
+    Constructor options forward to the internal layer: ``num_perm`` /
+    ``min_overlap`` shape the discovery indexes, and ``plan_cache`` /
+    ``plan_cache_size`` control the component-scoped plan cache (on by
+    default, LRU-bounded): cached plans survive deltas in unrelated
+    join-graph components and are evicted exactly when a delta touched a
+    component they depend on.  ``scheme`` selects the MinHash sketch
+    scheme for every column profile: ``"classic"`` (the ``num_perm``-way
+    universal-hash fold) or ``"oph"`` (one-permutation hashing with
+    densification plus repr-free packed canonicalization — the fast
+    ingest path); a store replays only into a market of the same scheme.
+    ``store`` (a path or a :class:`MarketStore`) makes every dataset delta
+    durable and cold-starts the market by replay.
     """
 
     def __init__(
@@ -113,30 +111,19 @@ class DataMarket:
         *,
         num_perm: int = 64,
         min_overlap: float = 0.5,
-        incremental: bool = True,
-        exhaustive: bool = False,
-        beam_width: int | None = None,
         plan_cache: bool = True,
         plan_cache_size: int = 128,
-        exec_engine: str = "columnar",
-        cost_model: bool = True,
         scheme: str = "classic",
         store: MarketStore | str | None = None,
     ):
         self.design = design if design is not None else external_market()
-        self.exec_engine = exec_engine
         self.arbiter = Arbiter(
             self.design,
             builder=MashupBuilder(
                 num_perm=num_perm,
                 min_overlap=min_overlap,
-                incremental=incremental,
-                exhaustive=exhaustive,
-                beam_width=beam_width,
                 plan_cache=plan_cache,
                 plan_cache_size=plan_cache_size,
-                exec_engine=exec_engine,
-                cost_model=cost_model,
                 scheme=scheme,
             ),
         )
@@ -389,15 +376,11 @@ class DataMarket:
             as_of=self.graph_version,
         )
 
-    def materialize(
-        self, result: PlanResult, engine: str | None = None
-    ) -> tuple[Relation, ...]:
+    def materialize(self, result: PlanResult) -> tuple[Relation, ...]:
         """Run a :class:`PlanResult`'s unevaluated trees and return the
-        relations, best mashup first.  ``engine`` picks the execution
-        engine (``"columnar"`` / ``"iteration"``); None uses the
-        market's ``exec_engine``.  Engines are bit-identical, and results
-        are memoized on the mashups."""
-        return result.collect(engine)
+        relations, best mashup first.  Results are memoized on the
+        mashups."""
+        return result.collect()
 
     # -- negotiation (Section 4.1) -----------------------------------------
     def _request_view(self, request: InfoRequest) -> InfoRequestView:

@@ -98,11 +98,10 @@ class PlanResult:
         """The unevaluated result trees, best mashup first."""
         return tuple(m.tree for m in self.mashups)
 
-    def collect(self, engine=None) -> tuple[Relation, ...]:
-        """Materialize every mashup (``engine``: name, instance, or None
-        for each mashup's own default).  Results are memoized on the
-        mashups, shared with any plan-cache copies of the same trees."""
-        return tuple(m.collect(engine) for m in self.mashups)
+    def collect(self) -> tuple[Relation, ...]:
+        """Materialize every mashup.  Results are memoized on the mashups,
+        shared with any plan-cache copies of the same trees."""
+        return tuple(m.collect() for m in self.mashups)
 
     def __len__(self) -> int:
         return len(self.mashups)

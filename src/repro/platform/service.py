@@ -317,15 +317,6 @@ class MarketService:
         """Barrier: block until every previously enqueued write applied."""
         self.submit(lambda: None, label="flush").result(timeout)
 
-    def status(self) -> dict:
-        return {
-            "pending": self._queue.qsize(),
-            "applied": self._applied,
-            "failed": self._failed,
-            "graph_version": self.market.graph_version,
-            "closed": self._closed,
-        }
-
     def stats(self) -> dict:
         """Observability snapshot (the gateway's ``GET /stats`` source):
         ticket-queue depth, whether the writer is applying a mutation right

@@ -607,7 +607,6 @@ class MarketStore:
                 },
                 missing=tuple(md["missing"]),
                 tree=plan.build_tree(market.metadata.relation),
-                engine=market.planner.exec_engine,
             ))
         return _PlanCacheEntry(
             mashups=mashups,

@@ -2,15 +2,7 @@
 
 from .columnar import ColumnarView
 from .csvio import read_csv, read_csv_dir, read_csv_text, write_csv
-from .engines import (
-    DEFAULT_ENGINE,
-    ColumnarEngine,
-    Engine,
-    IterationEngine,
-    Processor,
-    get_engine,
-    push_down,
-)
+from .engines import ColumnarEngine, Engine, Processor, push_down
 from .predicates import And, Eq, In, Predicate, Range
 from .provenance import (
     ProvExpr,
@@ -60,12 +52,9 @@ __all__ = [
     "Range",
     "And",
     "Engine",
-    "IterationEngine",
     "ColumnarEngine",
     "Processor",
-    "get_engine",
     "push_down",
-    "DEFAULT_ENGINE",
     "ProvExpr",
     "ProvToken",
     "ProvOne",

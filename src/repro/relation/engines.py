@@ -1,36 +1,33 @@
-"""Execution engines for lazy relation expression trees.
+"""Execution of lazy relation expression trees.
 
-Two engines stand behind one interface:
+:class:`ColumnarEngine` runs every tree.  It never materializes an
+intermediate wide relation: a pipeline is carried as a set of **leaf
+sources plus per-leaf row-index arrays** (numpy ``intp``), reusing the
+relations' memoized :class:`~repro.relation.columnar.ColumnarView` column
+vectors.  A join only composes index arrays; a selection only shrinks
+them; projection and rename are pure metadata.  Rows and wide tuples are
+assembled once, at ``collect`` time, for exactly the output columns —
+late materialization is projection pushdown by construction, and
+:func:`push_down` additionally sinks selections below joins/projections
+toward the leaves.  Provenance products stay factorised: the collected
+relation keeps each leaf's provenance and its row-index array (a
+:class:`~repro.relation.provenance.DeferredProvenance`) and builds the flat
+per-row products only when its ``provenance`` is first read; a leaf's own
+deferred tags are built then, once, and shared by every relation collected
+over that leaf.
 
-* :class:`IterationEngine` — the reference oracle.  It walks the tree and
-  applies the eager :class:`~repro.relation.relation.Relation` operators
-  node-for-node, so its output *is* the eager semantics by construction.
-* :class:`ColumnarEngine` — the fast path.  It never materializes an
-  intermediate wide relation: a pipeline is carried as a set of **leaf
-  sources plus per-leaf row-index arrays** (numpy ``intp``), reusing the
-  relations' memoized :class:`~repro.relation.columnar.ColumnarView`
-  column vectors.  A join only composes index arrays; a selection only
-  shrinks them; projection and rename are pure metadata.  Rows and wide
-  tuples are assembled once, at ``collect`` time, for exactly the output
-  columns — late materialization is projection pushdown by construction,
-  and :func:`push_down` additionally sinks selections below
-  joins/projections toward the leaves.  Provenance products stay
-  factorised: the collected relation keeps each leaf's provenance and its
-  row-index array (a :class:`~repro.relation.provenance.DeferredProvenance`)
-  and builds the flat per-row products only when its ``provenance`` is
-  first read; a leaf's own deferred tags are built then, once, and shared
-  by every relation collected over that leaf.
-
-Both engines are **bit-identical**: same rows in the same order, same
-schema, same relation name, and equal provenance expressions.  Join
+The engine is **bit-identical** to the eager
+:class:`~repro.relation.relation.Relation` operators applied node-for-node
+(the iteration oracle the test suite keeps): same rows in the same order,
+same schema, same relation name, and equal provenance expressions.  Join
 provenance relies on the :func:`~repro.relation.provenance.times` smart
 constructor flattening nested products — ``times(times(a, b), c)`` equals
 ``times(a, b, c)`` — which makes the eager left-deep product association
 reproducible from flat per-leaf annotations.
 
-The :class:`Processor` resolves an engine (by name, instance, or the
-default) and memoizes the materialized result on the tree's payload slot,
-so plan copies sharing one tree materialize at most once.
+The :class:`Processor` is the one place trees run: it memoizes the
+materialized result on the tree's payload slot, so plan copies sharing one
+tree materialize at most once.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from .columnar import SCALAR_DTYPES
 from .predicates import Predicate, _bool_mask, _scalar_operand
 from .provenance import DeferredProvenance
 from .relation import Relation, _freeze
-from .schema import Column, Schema
+from .schema import Schema
 from .tree import (
     Distinct,
     Extend,
@@ -59,67 +56,18 @@ from .tree import (
     Select,
 )
 
-#: engine used when a caller does not pick one
-DEFAULT_ENGINE = "columnar"
-
 
 class Engine(ABC):
     """One way to execute an expression tree."""
 
-    name: str = "abstract"
-
     @abstractmethod
     def execute(self, tree: RelationExpr) -> Relation:
-        """Materialize the tree's result (bit-identical across engines)."""
+        """Materialize the tree's result (bit-identical to the eager
+        operators)."""
 
     def count(self, tree: RelationExpr) -> int:
         """Row count of the result (override to avoid materializing)."""
         return len(self.execute(tree))
-
-
-class IterationEngine(Engine):
-    """The oracle: apply the eager operators node-for-node."""
-
-    name = "iteration"
-
-    def execute(self, tree: RelationExpr) -> Relation:
-        if isinstance(tree, LeafRelation):
-            return tree.relation
-        if isinstance(tree, Project):
-            return self.execute(tree.target).project(list(tree.names))
-        if isinstance(tree, Select):
-            rel = self.execute(tree.target)
-            if tree.predicate is None:
-                return rel.where(**dict(tree.conditions))
-            return rel.select(_restricted(tree.predicate, tree.input_columns))
-        if isinstance(tree, Distinct):
-            return self.execute(tree.target).distinct()
-        if isinstance(tree, Rename):
-            return self.execute(tree.target).rename(dict(tree.mapping))
-        if isinstance(tree, Label):
-            return self.execute(tree.target).renamed(tree.label)
-        if isinstance(tree, Extend):
-            return self.execute(tree.target).extend(
-                tree.column, _restricted(tree.fn, tree.input_columns)
-            )
-        if isinstance(tree, Join):
-            return self.execute(tree.left).join(
-                self.execute(tree.right),
-                on=list(tree.pairs),
-                suffix=tree.suffix,
-                keep_right=tree.keep_right,
-            )
-        raise SchemaError(f"unknown tree node {tree!r}")
-
-
-def _restricted(
-    fn: Callable[[dict[str, Any]], Any], columns: tuple[str, ...] | None
-) -> Callable[[dict[str, Any]], Any]:
-    """Wrap a row function to see only the declared input columns (both
-    engines build the restricted dict the same way)."""
-    if columns is None:
-        return fn
-    return lambda row: fn({k: row[k] for k in columns})
 
 
 def _remapped(
@@ -365,8 +313,6 @@ class ColumnarEngine(Engine):
     evaluation; the rewrite is order- and provenance-preserving, so the
     bit-identity contract holds either way.
     """
-
-    name = "columnar"
 
     def __init__(self, optimize: bool = True):
         self.optimize = optimize
@@ -710,37 +656,11 @@ def _sink(sel: Select, node: RelationExpr) -> RelationExpr:
 # ---------------------------------------------------------------------------
 # processor
 # ---------------------------------------------------------------------------
-_ENGINES: dict[str, Engine] = {}
-
-
-def get_engine(name: str) -> Engine:
-    """Resolve a registered engine by name (instances are shared)."""
-    engine = _ENGINES.get(name)
-    if engine is None:
-        if name == "iteration":
-            engine = IterationEngine()
-        elif name == "columnar":
-            engine = ColumnarEngine()
-        else:
-            raise SchemaError(
-                f"unknown execution engine {name!r} "
-                "(expected 'iteration' or 'columnar')"
-            )
-        _ENGINES[name] = engine
-    return engine
-
-
 class Processor:
-    """Executes expression trees on a chosen engine, memoizing results on
-    the tree's payload slot (engines are bit-identical, so a payload from
-    any engine serves all of them)."""
+    """Executes expression trees on the columnar engine, memoizing results
+    on the tree's payload slot."""
 
-    def __init__(self, engine: str | Engine | None = None):
-        if engine is None:
-            engine = DEFAULT_ENGINE
-        self.engine = engine if isinstance(engine, Engine) else (
-            get_engine(engine)
-        )
+    engine = ColumnarEngine()
 
     def execute(self, tree: RelationExpr) -> Relation:
         cached = tree.payload

@@ -8,9 +8,9 @@ the columnar engine can compile it to a numpy boolean mask over whole
 column vectors instead of looping.
 
 Every predicate is also a plain row callable (``pred(row_dict)``), which
-makes the row-by-row path — the iteration engine, and the columnar
-engine's fallback — the **bit-identity oracle** for the mask: for every
-row, ``mask[i] == bool(pred(row_i))``.  Where vectorized arithmetic
+makes the row-by-row path — the eager ``Relation.select``, and the
+columnar engine's fallback — the **bit-identity oracle** for the mask:
+for every row, ``mask[i] == bool(pred(row_i))``.  Where vectorized arithmetic
 cannot reproduce the row semantics exactly, :meth:`Predicate.mask`
 returns ``None`` and the engine falls back to the loop:
 

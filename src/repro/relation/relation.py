@@ -19,10 +19,9 @@ so every vector read is the one eager per-row tagging would have built.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..errors import ReproDeprecationWarning, SchemaError, UnknownColumnError
+from ..errors import SchemaError, UnknownColumnError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .tree import LeafRelation
@@ -57,24 +56,7 @@ class Relation:
         /,
         provenance: Sequence[ProvExpr] | None = None,
         validate: bool = True,
-        **legacy: Any,
     ):
-        if legacy:
-            unknown = set(legacy) - {"rows"}
-            if unknown:
-                raise TypeError(
-                    f"Relation() got unexpected keyword arguments "
-                    f"{sorted(unknown)}"
-                )
-            warnings.warn(
-                "passing rows= to Relation as a keyword is deprecated "
-                "(mutation-era entry point): pass the rows positionally, "
-                "or build results lazily through the tree API "
-                "(Relation.lazy() and the expression-tree operators)",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
-            rows = legacy["rows"]
         self.name = name
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self._rows: tuple[Row, ...] = tuple(tuple(r) for r in rows)

@@ -15,10 +15,9 @@ This module (shaped after ``lsst.daf.relation``) makes the algebra lazy:
   operator signatures one-for-one;
 * nothing executes until the tree is handed to a
   :class:`~repro.relation.engines.Processor` (or :meth:`RelationExpr.collect`
-  is called), which runs it on a chosen engine.  All engines are
-  **bit-identical** on rows, row order, schema, relation name and
-  provenance expressions, so callers may treat engine choice as a pure
-  performance knob.
+  is called), which runs it on the columnar engine.  The result is
+  **bit-identical** to applying the eager operators node-for-node: rows,
+  row order, schema, relation name and provenance expressions.
 
 Nodes are immutable and hashable (conditions permitting: a ``where`` value
 or an ``extend`` callable hashes by its own rules).  The one mutability
@@ -87,8 +86,7 @@ class RelationExpr:
     @property
     def payload(self) -> Relation | None:
         """The materialized result a processor attached to this node, if
-        any.  Engines are bit-identical, so a payload computed by one
-        engine is valid for all of them."""
+        any."""
         return self.__dict__.get("_payload")
 
     def attach_payload(self, relation: Relation) -> None:
@@ -173,22 +171,18 @@ class RelationExpr:
         return Join(self, other, pairs, suffix, keep_right)
 
     # -- execution ---------------------------------------------------------
-    def collect(self, engine=None) -> Relation:
-        """Execute the tree and return the materialized relation.
-
-        ``engine`` is an engine name (``"iteration"`` / ``"columnar"``), an
-        :class:`~repro.relation.engines.Engine`, or None for the default.
-        The result is memoized on this node's payload slot."""
+    def collect(self) -> Relation:
+        """Execute the tree and return the materialized relation, memoized
+        on this node's payload slot."""
         from .engines import Processor
 
-        return Processor(engine).execute(self)
+        return Processor().execute(self)
 
-    def count(self, engine=None) -> int:
-        """Row count of the tree's result, without materializing rows on
-        engines that can avoid it."""
+    def count(self) -> int:
+        """Row count of the tree's result, without assembling its rows."""
         from .engines import Processor
 
-        return Processor(engine).count(self)
+        return Processor().count(self)
 
 
 @dataclass(frozen=True, eq=False)

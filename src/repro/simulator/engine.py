@@ -38,12 +38,6 @@ class SimulationConfig:
     strategy_kwargs: Mapping[str, dict] | None = None
     value_sampler: ValueSampler | None = None
     seed: int = 0
-    #: draw the whole (rounds × buyers) valuation matrix in one vectorized
-    #: call when the sampler supports it (``sample_batch`` attribute, as the
-    #: samplers in :mod:`repro.simulator.workload` do).  Off by default:
-    #: batched draws consume the random stream differently, so per-call and
-    #: batched runs of the same seed are equal in distribution, not bitwise.
-    batch_values: bool = False
 
     def validate(self) -> None:
         if self.n_rounds < 1:
@@ -60,24 +54,11 @@ def simulate_mechanism(config: SimulationConfig) -> SimulationMetrics:
     agents = build_population(
         config.n_buyers, config.strategy_mix, config.strategy_kwargs
     )
-    value_matrix = None
-    if config.batch_values:
-        sample_batch = getattr(sampler, "sample_batch", None)
-        if sample_batch is not None:
-            value_matrix = np.asarray(
-                sample_batch(rng, config.n_rounds * len(agents)), dtype=float
-            ).reshape(config.n_rounds, len(agents))
     revenue = 0.0
     welfare = 0.0
     transactions = 0
     for _round in range(config.n_rounds):
-        if value_matrix is not None:
-            true_values = {
-                a.name: float(value_matrix[_round, i])
-                for i, a in enumerate(agents)
-            }
-        else:
-            true_values = {a.name: sampler(rng) for a in agents}
+        true_values = {a.name: sampler(rng) for a in agents}
         bids = [
             Bid(a.name, a.submit(true_values[a.name], rng)) for a in agents
         ]

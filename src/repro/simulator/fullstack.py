@@ -59,7 +59,6 @@ def simulate_market_deployment(
     seed: int = 0,
     arrivals: dict[int, list[Relation]] | None = None,
     departures: dict[int, list[str]] | None = None,
-    planner: str = "beam",
 ) -> FullStackResult:
     """Deploy ``design`` on a real arbiter and run agent populations.
 
@@ -72,15 +71,7 @@ def simulate_market_deployment(
     (round -> dataset names to retire) exercise the long-running
     deployment story: the discovery indexes are patched incrementally
     before the round clears, with no full rebuild stalling the market.
-
-    ``planner`` selects the DoD plan enumerator the deployed arbiter runs:
-    ``"beam"`` (component-pruned best-first search, the default) or
-    ``"exhaustive"`` (the reference-oracle product sweep).
     """
-    if planner not in ("beam", "exhaustive"):
-        raise SimulationError(
-            f"unknown planner {planner!r}: expected 'beam' or 'exhaustive'"
-        )
     if n_rounds < 1 or n_buyers < 1:
         raise SimulationError("need at least one round and one buyer")
     if not datasets:
@@ -111,7 +102,7 @@ def simulate_market_deployment(
     rng = np.random.default_rng(seed)
     # the deployed platform is the same façade production callers use:
     # every mutation below flows through DataMarket's typed operations
-    market = DataMarket(design, exhaustive=(planner == "exhaustive"))
+    market = DataMarket(design)
     sellers: list[str] = []
 
     def _accept(dataset: Relation) -> None:

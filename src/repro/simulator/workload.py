@@ -19,41 +19,22 @@ from .agents import BuyerAgent, make_strategy
 ValueSampler = Callable[[np.random.Generator], float]
 
 
-def _with_batch(sampler: ValueSampler, batch) -> ValueSampler:
-    """Attach a ``sample_batch(rng, size) -> np.ndarray`` vectorized draw.
-
-    The engine's ``batch_values`` mode uses it to fill the whole
-    (rounds × buyers) valuation matrix in one call instead of one Python
-    call per buyer per round."""
-    sampler.sample_batch = batch
-    return sampler
-
-
 def uniform_values(low: float = 0.0, high: float = 100.0) -> ValueSampler:
     if high <= low:
         raise SimulationError("need high > low")
-    return _with_batch(
-        lambda rng: float(rng.uniform(low, high)),
-        lambda rng, size: rng.uniform(low, high, size=size),
-    )
+    return lambda rng: float(rng.uniform(low, high))
 
 
 def lognormal_values(mean: float = 3.0, sigma: float = 0.6) -> ValueSampler:
     if sigma <= 0:
         raise SimulationError("sigma must be positive")
-    return _with_batch(
-        lambda rng: float(rng.lognormal(mean, sigma)),
-        lambda rng, size: rng.lognormal(mean, sigma, size=size),
-    )
+    return lambda rng: float(rng.lognormal(mean, sigma))
 
 
 def exponential_values(scale: float = 50.0) -> ValueSampler:
     if scale <= 0:
         raise SimulationError("scale must be positive")
-    return _with_batch(
-        lambda rng: float(rng.exponential(scale)),
-        lambda rng, size: rng.exponential(scale, size=size),
-    )
+    return lambda rng: float(rng.exponential(scale))
 
 
 def bimodal_values(
@@ -68,13 +49,7 @@ def bimodal_values(
             return abs(float(rng.normal(high_mean, high_mean / 10)))
         return abs(float(rng.normal(low_mean, low_mean / 10)))
 
-    def sample_batch(rng: np.random.Generator, size: int) -> np.ndarray:
-        whale = rng.random(size) < high_fraction
-        low = np.abs(rng.normal(low_mean, low_mean / 10, size=size))
-        high = np.abs(rng.normal(high_mean, high_mean / 10, size=size))
-        return np.where(whale, high, low)
-
-    return _with_batch(sample, sample_batch)
+    return sample
 
 
 DISTRIBUTIONS: dict[str, Callable[..., ValueSampler]] = {

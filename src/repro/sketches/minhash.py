@@ -11,15 +11,16 @@ processes (Python's builtin ``hash`` is salted per-process and unsuitable)
 and — unlike a per-token cryptographic digest — has two interchangeable,
 bit-identical implementations:
 
-* :func:`_hash_token` — the scalar reference, memoized process-wide;
+* :func:`_hash_token` — the scalar hash, memoized process-wide;
 * :func:`_hash_token_batch` — a vectorized numpy fold over one packed byte
   matrix (``np.frombuffer`` reinterpretation of the concatenated token
   buffer), which is what makes bulk column profiling a handful of C-level
   array operations instead of a Python loop per token.
 
-:func:`hash_tokens` picks between them by batch size; columnar and scalar
-profiling paths therefore produce identical signatures by construction
-(property-tested in ``tests/test_columnar_profiling.py``).
+:func:`hash_tokens` picks between them by batch size, so signatures are
+identical to a token-at-a-time scalar fold by construction (the scalar
+reference profilers in ``tests/oracles`` fold that way, and
+``tests/test_columnar_profiling.py`` checks both agree).
 
 Two sketch *schemes* share that token-hash layer:
 
@@ -363,29 +364,17 @@ class MinHash:
             self._fold(hash_tokens(list(tokens)))
             self.count += len(tokens)
 
-    def update_tokens(
-        self, tokens: Iterable[str], vectorize: bool = True
-    ) -> None:
+    def update_tokens(self, tokens: Iterable[str]) -> None:
         """Fold pre-canonicalized token strings (the profiler's bulk entry
-        point — its columnar view already holds one ``repr`` per value).
-
-        ``vectorize=False`` forces the scalar reference hash for every
-        token; the default picks per batch.  Both produce identical
-        signatures (see module docstring).
-        """
+        point — its columnar view already holds one ``repr`` per value);
+        :func:`hash_tokens` picks the hash route per batch."""
         distinct = (
             tokens if isinstance(tokens, (set, frozenset)) else set(tokens)
         )
         if not distinct:
             return
         batch = list(distinct)
-        if vectorize:
-            hashes = hash_tokens(batch)
-        else:
-            hashes = np.fromiter(
-                map(_hash_token, batch), dtype=np.int64, count=len(batch)
-            )
-        self._fold(hashes)
+        self._fold(hash_tokens(batch))
         self.count += len(batch)
 
     def update_hashes(self, hashes: np.ndarray, distinct: int) -> None:
@@ -487,10 +476,10 @@ class MinHash:
     @classmethod
     def of_tokens(
         cls, tokens: Iterable[str], num_perm: int = 64, seed: int = 7,
-        vectorize: bool = True, scheme: str = "classic",
+        scheme: str = "classic",
     ) -> "MinHash":
         mh = cls(num_perm=num_perm, seed=seed, scheme=scheme)
-        mh.update_tokens(tokens, vectorize=vectorize)
+        mh.update_tokens(tokens)
         return mh
 
     def _check_comparable(self, other: "MinHash", op: str) -> None:

@@ -15,11 +15,10 @@ For a single test point (x, y), sort training points by distance; with
     s_(n) = 1[y_(n) = y] / n
     s_(i) = s_(i+1) + (1[y_(i) = y] - 1[y_(i+1) = y]) / K * min(K, i) / i
 
-The default ``batched=True`` path computes the full (test × train) distance
-matrix, sorts all rows at once, and unrolls the recurrence into a reversed
-cumulative sum — no per-test-point Python loop at all.  ``batched=False``
-keeps the original per-point loop as the reference implementation (E19
-measures the gap).
+:func:`knn_shapley` computes the full (test × train) distance matrix,
+sorts all rows at once, and unrolls the recurrence into a reversed
+cumulative sum — no per-test-point Python loop at all (E19 measures the
+gap to the per-point loop the test suite keeps as the reference).
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ def _validate(x_train, y_train, x_test, y_test, k):
 
 
 def _distance_matrix(x_train: np.ndarray, x_test: np.ndarray) -> np.ndarray:
-    """(T, n) Euclidean distances, elementwise-identical to the per-row
-    ``np.linalg.norm(x_train - x, axis=1)`` of the scalar path (so stable
-    argsort tie-breaks agree between both implementations)."""
+    """(T, n) Euclidean distances, elementwise-identical to a per-row
+    ``np.linalg.norm(x_train - x, axis=1)`` (so stable argsort tie-breaks
+    agree with the per-point reference loop)."""
     return np.linalg.norm(
         x_train[None, :, :] - x_test[:, None, :], axis=2
     )
@@ -54,7 +53,6 @@ def knn_shapley(
     x_test: np.ndarray,
     y_test: np.ndarray,
     k: int = 5,
-    batched: bool = True,
 ) -> np.ndarray:
     """Per-training-point Shapley values of mean KNN test accuracy."""
     x_train = np.asarray(x_train, dtype=float)
@@ -62,9 +60,6 @@ def knn_shapley(
     x_test = np.asarray(x_test, dtype=float)
     y_test = np.asarray(y_test)
     _validate(x_train, y_train, x_test, y_test, k)
-    if not batched:
-        return _knn_shapley_scalar(x_train, y_train, x_test, y_test, k)
-
     n = x_train.shape[0]
     dist = _distance_matrix(x_train, x_test)  # (T, n)
     order = np.argsort(dist, axis=1, kind="stable")
@@ -82,29 +77,6 @@ def knn_shapley(
 
     values = np.zeros(n)
     np.add.at(values, order.ravel(), s.ravel())
-    return values / x_test.shape[0]
-
-
-def _knn_shapley_scalar(
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_test: np.ndarray,
-    y_test: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Reference implementation: one test point at a time."""
-    n = x_train.shape[0]
-    values = np.zeros(n)
-    for x, y in zip(x_test, y_test):
-        dist = np.linalg.norm(x_train - x, axis=1)
-        order = np.argsort(dist, kind="stable")  # ascending distance
-        match = (y_train[order] == y).astype(float)
-        s = np.zeros(n)
-        s[n - 1] = match[n - 1] / n
-        for i in range(n - 2, -1, -1):  # i is 0-based rank
-            rank = i + 1  # 1-based
-            s[i] = s[i + 1] + (match[i] - match[i + 1]) / k * min(k, rank) / rank
-        values[order] += s
     return values / x_test.shape[0]
 
 
@@ -126,7 +98,7 @@ def knn_utility(
         raise ValuationError("need non-empty train and test sets")
     kk = min(k, x_train.shape[0])
     dist = _distance_matrix(x_train, x_test)
-    # kind="stable" keeps tie-breaking identical to the scalar argsort
+    # kind="stable" keeps tie-breaking identical to the per-point argsort
     order = np.argsort(dist, axis=1, kind="stable")[:, :kk]
     hits = y_train[order] == y_test[:, None]
     return float(hits.mean(axis=1).mean())

@@ -8,22 +8,18 @@ exact value and the standard efficient approximations the paper's citations
 use (permutation Monte Carlo, and Ghorbani & Zou's truncated Monte Carlo);
 benchmark E3 compares their cost/error trade-offs.
 
-Every estimator has two execution paths selected by ``batched``:
-
-* ``batched=True`` (default) generates all sampled permutations as NumPy
-  index matrices and evaluates prefix coalitions through
-  :meth:`~repro.valuation.game.CoalitionGame.value_batch` — for games with
-  a vectorized ``batch_fn`` the whole estimator collapses into a handful of
-  array operations (benchmark E19 measures the speedup);
-* ``batched=False`` is the original scalar permutation loop, kept as the
-  reference implementation the vectorized path must match: both paths draw
-  the same permutations from the same seed, so allocations agree to
-  floating-point accumulation order (≪ 1e-6).
+Every estimator generates its sampled permutations as NumPy index
+matrices and evaluates prefix coalitions through
+:meth:`~repro.valuation.game.CoalitionGame.value_batch` — for games with a
+vectorized ``batch_fn`` the whole estimator collapses into a handful of
+array operations (benchmark E19 measures the speedup over the scalar
+permutation loops the test suite keeps as the reference).  Both draw the
+same permutations from the same seed, so allocations agree to
+floating-point accumulation order (≪ 1e-6).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -36,15 +32,15 @@ from .game import CoalitionGame, mask_membership
 # exact Shapley
 # ---------------------------------------------------------------------------
 def exact_shapley(
-    game: CoalitionGame, max_players: int = 16, batched: bool = True
+    game: CoalitionGame, max_players: int = 16
 ) -> dict[str, float]:
     """Exact Shapley value by subset enumeration — O(2^n · n).
 
     Refuses games beyond ``max_players`` (the "practical" requirement of
-    Section 3.1: market designs must be computationally efficient).  The
-    batched path enumerates all 2^n coalitions as one membership matrix,
-    evaluates them in a single :meth:`CoalitionGame.value_batch` call, and
-    combines marginals by vectorized bitmask arithmetic.
+    Section 3.1: market designs must be computationally efficient).  All
+    2^n coalitions are enumerated as one membership matrix, evaluated in a
+    single :meth:`CoalitionGame.value_batch` call, and marginals combined
+    by vectorized bitmask arithmetic.
     """
     n = game.n
     if n > max_players:
@@ -52,9 +48,6 @@ def exact_shapley(
             f"exact Shapley over {n} players needs 2^{n} evaluations; "
             f"use monte_carlo_shapley instead"
         )
-    if not batched:
-        return _exact_shapley_scalar(game)
-
     masks = np.arange(1 << n, dtype=np.uint64)
     membership = mask_membership(masks, n)
     values = game.value_batch(membership)
@@ -76,36 +69,17 @@ def exact_shapley(
     return {p: float(shapley[i]) for i, p in enumerate(game.players)}
 
 
-def _exact_shapley_scalar(game: CoalitionGame) -> dict[str, float]:
-    """Reference implementation: per-subset scalar evaluation."""
-    n = game.n
-    players = game.players
-    shapley = {p: 0.0 for p in players}
-    others = {p: [q for q in players if q != p] for p in players}
-    weights = [
-        math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
-        for s in range(n)
-    ]
-    for p in players:
-        for size in range(n):
-            for subset in itertools.combinations(others[p], size):
-                s = frozenset(subset)
-                marginal = game.value(s | {p}) - game.value(s)
-                shapley[p] += weights[size] * marginal
-    return shapley
-
-
 # ---------------------------------------------------------------------------
 # permutation sampling
 # ---------------------------------------------------------------------------
 def _sample_permutations(
     n: int, n_permutations: int, seed: int
 ) -> np.ndarray:
-    """(m, n) index matrix drawn exactly as the scalar loop draws orders.
+    """(m, n) index matrix drawn exactly as a scalar loop draws orders.
 
     One :meth:`numpy.random.Generator.permutation` call per row keeps the
-    random stream identical to the scalar path, so both paths visit the
-    same prefix coalitions for the same seed.
+    random stream identical to the scalar reference loop, so both visit
+    the same prefix coalitions for the same seed.
     """
     rng = np.random.default_rng(seed)
     return np.stack(
@@ -132,11 +106,10 @@ def monte_carlo_shapley(
     game: CoalitionGame,
     n_permutations: int = 200,
     seed: int = 0,
-    batched: bool = True,
 ) -> dict[str, float]:
     """Permutation-sampling estimator: unbiased, O(n) evals per permutation.
 
-    The batched path materializes the prefix coalitions of the sampled
+    The prefix coalitions of the sampled
     permutations as ``(chunk·n, n)`` membership matrices — chunked so
     memory stays ~constant at large player counts (exactly the regime
     ``exact_shapley`` hands off to this estimator) — evaluates each chunk
@@ -145,8 +118,6 @@ def monte_carlo_shapley(
     """
     if n_permutations < 1:
         raise ValuationError("need at least one permutation")
-    if not batched:
-        return _monte_carlo_shapley_scalar(game, n_permutations, seed)
     n = game.n
     perms = _sample_permutations(n, n_permutations, seed)
     empty = game.value_batch(np.zeros((1, n), dtype=bool))[0]
@@ -172,47 +143,23 @@ def monte_carlo_shapley(
     }
 
 
-def _monte_carlo_shapley_scalar(
-    game: CoalitionGame, n_permutations: int, seed: int
-) -> dict[str, float]:
-    """Reference implementation: one coalition evaluation at a time."""
-    rng = np.random.default_rng(seed)
-    players = list(game.players)
-    totals = {p: 0.0 for p in players}
-    for _ in range(n_permutations):
-        order = list(rng.permutation(players))
-        prefix: set[str] = set()
-        prev = game.value(frozenset())
-        for p in order:
-            prefix.add(p)
-            current = game.value(frozenset(prefix))
-            totals[p] += current - prev
-            prev = current
-    return {p: t / n_permutations for p, t in totals.items()}
-
-
 def truncated_monte_carlo_shapley(
     game: CoalitionGame,
     n_permutations: int = 200,
     truncation_tolerance: float = 0.01,
     seed: int = 0,
-    batched: bool = True,
 ) -> dict[str, float]:
     """Ghorbani & Zou's TMC-Shapley: stop scanning a permutation once the
     running coalition's value is within ``truncation_tolerance`` of v(N) —
     the remaining players' marginals are set to zero for that permutation.
 
-    The batched path advances all permutations one prefix *position* at a
-    time: position ``i`` is evaluated in one ``value_batch`` call covering
-    only the permutations still active (not yet truncated), preserving the
-    scalar path's evaluation-saving semantics while vectorizing each step.
+    All permutations advance one prefix *position* at a time: position
+    ``i`` is evaluated in one ``value_batch`` call covering only the
+    permutations still active (not yet truncated), preserving the scalar
+    scan's evaluation-saving semantics while vectorizing each step.
     """
     if n_permutations < 1:
         raise ValuationError("need at least one permutation")
-    if not batched:
-        return _truncated_monte_carlo_scalar(
-            game, n_permutations, truncation_tolerance, seed
-        )
     n = game.n
     full_value = game.value(game.grand_coalition)
     threshold = truncation_tolerance * max(abs(full_value), 1e-12)
@@ -237,32 +184,6 @@ def truncated_monte_carlo_shapley(
         p: float(totals[i]) / n_permutations
         for i, p in enumerate(game.players)
     }
-
-
-def _truncated_monte_carlo_scalar(
-    game: CoalitionGame,
-    n_permutations: int,
-    truncation_tolerance: float,
-    seed: int,
-) -> dict[str, float]:
-    """Reference implementation: scalar permutation scan with truncation."""
-    rng = np.random.default_rng(seed)
-    players = list(game.players)
-    full_value = game.value(game.grand_coalition)
-    threshold = truncation_tolerance * max(abs(full_value), 1e-12)
-    totals = {p: 0.0 for p in players}
-    for _ in range(n_permutations):
-        order = list(rng.permutation(players))
-        prefix: set[str] = set()
-        prev = game.value(frozenset())
-        for p in order:
-            if abs(full_value - prev) <= threshold:
-                break  # truncate: remaining marginals ≈ 0
-            prefix.add(p)
-            current = game.value(frozenset(prefix))
-            totals[p] += current - prev
-            prev = current
-    return {p: t / n_permutations for p, t in totals.items()}
 
 
 def shapley_error(

@@ -1,0 +1,22 @@
+"""Reference oracles: the slow, obviously-correct implementations the
+production paths in ``src/`` are checked against.
+
+Each module holds the oracle for one layer, moved here unchanged from the
+library so that ``src/`` ships one production path per layer:
+
+* :mod:`oracles.execution` — the iteration engine (eager operators applied
+  node-for-node) the columnar engine must match bit-for-bit;
+* :mod:`oracles.planning` — the exhaustive product-sweep enumerator and the
+  hop-count join-path connector, as :class:`~repro.integration.DoDEngine`
+  subclasses;
+* :mod:`oracles.indexing` — the O(C²) full rebuild the incrementally
+  patched join index must equal;
+* :mod:`oracles.profiling` — the value-at-a-time profilers (both sketch
+  schemes) the columnar profiler must match bit-for-bit;
+* :mod:`oracles.valuation` — the scalar Shapley and KNN-Shapley loops the
+  batched estimators must match to floating-point accumulation order.
+
+The equivalence tests under ``tests/`` and the benchmarks under
+``benchmarks/`` import them from here (``tests/`` is on the pytest
+``pythonpath``).
+"""

@@ -14,12 +14,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles.profiling import (
+    scalar_column_content_hash,
+    scalar_profile_table,
+    scalar_profiling,
+)
+from repro.discovery import MetadataEngine, metadata
 from repro.discovery.profiler import (
     column_content_hash,
     name_similarity,
     profile_column,
     profile_table,
-    set_columnar_profiling,
 )
 from repro.relation import Column, Relation
 from repro.sketches import CategoricalSummary, MinHash
@@ -110,8 +115,8 @@ def assert_profiles_identical(a, b):
 @pytest.mark.parametrize("seed", range(25))
 def test_columnar_profile_bit_identical_to_scalar_oracle(seed):
     relation = random_relation(seed)
-    columnar = profile_table(relation, columnar=True)
-    scalar = profile_table(relation, columnar=False)
+    columnar = profile_table(relation)
+    scalar = scalar_profile_table(relation)
     assert_profiles_identical(columnar, scalar)
 
 
@@ -121,8 +126,8 @@ def test_columnar_profile_identical_on_large_relations(seed):
     the fused Counter/dedup machinery — the small-relation tests above
     take the direct per-value route, so both must be pinned."""
     relation = random_relation(seed, n_rows=150)
-    columnar = profile_table(relation, columnar=True)
-    scalar = profile_table(relation, columnar=False)
+    columnar = profile_table(relation)
+    scalar = scalar_profile_table(relation)
     assert_profiles_identical(columnar, scalar)
 
 
@@ -144,19 +149,19 @@ def test_subclass_values_disable_dedup_and_stay_identical():
         [(1,)] * 40 + [(Color.RED,)] * 40,
     ):
         relation = Relation("enums", [("c", "int")], rows)
-        assert column_content_hash(relation, "c", columnar=True) == (
-            column_content_hash(relation, "c", columnar=False)
+        assert column_content_hash(relation, "c") == (
+            scalar_column_content_hash(relation, "c")
         )
         assert_profiles_identical(
-            profile_table(relation, columnar=True),
-            profile_table(relation, columnar=False),
+            profile_table(relation),
+            scalar_profile_table(relation),
         )
     tagged = Relation(
         "tags", [("s", "str")],
         [(Tag("x"),)] * 40 + [("x",)] * 40,
     )
-    assert column_content_hash(tagged, "s", columnar=True) == (
-        column_content_hash(tagged, "s", columnar=False)
+    assert column_content_hash(tagged, "s") == (
+        scalar_column_content_hash(tagged, "s")
     )
 
 
@@ -179,16 +184,16 @@ def test_columnar_profile_identical_on_duplicate_heavy_columns():
     ]
     relation = Relation("dups", cols, rows)
     assert_profiles_identical(
-        profile_table(relation, columnar=True),
-        profile_table(relation, columnar=False),
+        profile_table(relation),
+        scalar_profile_table(relation),
     )
 
 
 def test_profile_of_empty_relation_matches():
     relation = Relation("empty", [("a", "int"), ("b", "str")], [])
     assert_profiles_identical(
-        profile_table(relation, columnar=True),
-        profile_table(relation, columnar=False),
+        profile_table(relation),
+        scalar_profile_table(relation),
     )
 
 
@@ -197,9 +202,9 @@ def test_profile_of_all_null_column_matches():
         "nulls", [("a", "float"), ("b", "str")],
         [(None, None)] * 8,
     )
-    columnar = profile_table(relation, columnar=True)
+    columnar = profile_table(relation)
     assert_profiles_identical(
-        columnar, profile_table(relation, columnar=False)
+        columnar, scalar_profile_table(relation)
     )
     assert columnar.column("a").distinct_fraction == 0.0
     assert columnar.column("a").categorical.nulls == 8
@@ -215,15 +220,15 @@ def test_column_content_hash_matches_legacy_stream():
                 h.update(repr(v).encode())
                 h.update(b"\x1f")
             legacy = h.hexdigest()
-            assert column_content_hash(relation, name, columnar=True) == legacy
-            assert column_content_hash(relation, name, columnar=False) == legacy
+            assert column_content_hash(relation, name) == legacy
+            assert scalar_column_content_hash(relation, name) == legacy
 
 
 def test_profile_signature_equals_minhash_of_raw_values():
     """Profiler tokens are exactly the values' reprs, so a signature built
     from the raw non-null values through the public API must agree."""
     relation = random_relation(3, n_rows=40)
-    profile = profile_table(relation, columnar=True)
+    profile = profile_table(relation)
     for name in relation.columns:
         non_null = [v for v in relation.column(name) if v is not None]
         assert profile.column(name).signature.digest() == MinHash.of(
@@ -231,16 +236,15 @@ def test_profile_signature_equals_minhash_of_raw_values():
         ).digest()
 
 
-def test_set_columnar_profiling_flips_module_default():
-    relation = random_relation(5)
-    previous = set_columnar_profiling(False)
-    try:
-        scalar_default = profile_table(relation)
-    finally:
-        set_columnar_profiling(previous)
-    assert_profiles_identical(
-        scalar_default, profile_table(relation, columnar=True)
-    )
+def test_scalar_oracle_registered_through_metadata_engine():
+    """The ingest benchmarks time the scalar oracle through
+    ``MetadataEngine.register`` (:func:`scalar_profiling`): it must
+    register profiles identical to the columnar path's."""
+    columnar = MetadataEngine().register(random_relation(5)).profile
+    with scalar_profiling():
+        scalar = MetadataEngine().register(random_relation(5)).profile
+    assert_profiles_identical(scalar, columnar)
+    assert metadata.profile_table is profile_table  # restored on exit
 
 
 def test_profile_column_reuses_supplied_content_hash():
@@ -321,8 +325,8 @@ def test_any_dtype_cells_with_array_equality_profile_identically():
         [(np.array([1, 2]), 1), (None, 2), (np.array([3, 4]), None)],
     )
     assert_profiles_identical(
-        profile_table(relation, columnar=True),
-        profile_table(relation, columnar=False),
+        profile_table(relation),
+        scalar_profile_table(relation),
     )
 
 

@@ -7,13 +7,15 @@ running cardinality) and ``status`` (a lookup covering only a fraction of
 hop-count planner attaches dimensions in attribute-mention order; the
 cost model attaches the shrinking join first, so the multiplying join
 runs over fewer rows and intermediates stay small, while the final bag
-of rows is identical (inner equi-joins commute).
+of rows is identical (inner equi-joins commute).  The hop-count planner is
+the ``oracles.planning`` oracle (:class:`HopCountDoDEngine`).
 """
 
 import random
 
 import pytest
 
+from oracles.planning import HopCountDoDEngine, install_planner
 from repro.discovery import (
     FanoutEstimate,
     IndexBuilder,
@@ -58,7 +60,9 @@ def make_status(n_covered=10):
 
 
 def skew_builder(cost_model: bool, **kwargs) -> MashupBuilder:
-    b = MashupBuilder(min_overlap=0.15, cost_model=cost_model, **kwargs)
+    b = MashupBuilder(min_overlap=0.15, **kwargs)
+    if not cost_model:
+        install_planner(b, HopCountDoDEngine)
     b.add_dataset(make_orders(), owner="a")
     b.add_dataset(make_events(), owner="b")
     b.add_dataset(make_status(), owner="c")
@@ -150,8 +154,6 @@ def test_cost_plan_orders_selective_join_first():
     m_hops = hops.build(REQUEST)[0]
     assert [j.dataset for j in m_cost.plan.joins] == ["status", "events"]
     assert [j.dataset for j in m_hops.plan.joins] == ["events", "status"]
-    assert cost.dod.last_stats.connector == "cost"
-    assert hops.dod.last_stats.connector == "hops"
 
 
 def test_cost_plan_halves_peak_with_identical_output():
@@ -222,7 +224,9 @@ def test_property_cost_matches_heuristic_with_no_worse_peak(seed):
     ])
     builders = {}
     for flag in (True, False):
-        b = MashupBuilder(min_overlap=0.1, cost_model=flag)
+        b = MashupBuilder(min_overlap=0.1)
+        if not flag:
+            install_planner(b, HopCountDoDEngine)
         b.add_dataset(orders, owner="a")
         b.add_dataset(events, owner="b")
         b.add_dataset(status, owner="c")
@@ -278,7 +282,7 @@ def test_hop_mode_plans_unchanged_by_memoization():
 
 
 # ---------------------------------------------------------------------------
-# path-memo lifecycle (detach / re-attach / cost-model toggles)
+# path-memo lifecycle (detach / re-attach)
 # ---------------------------------------------------------------------------
 
 def test_path_memo_cleared_on_detach():
@@ -313,24 +317,3 @@ def test_path_memo_not_served_after_reattach_to_other_index():
     assert dod.last_stats.path_cache_misses > 0
     assert dod._path_cache_index is b.index
     assert row_bag(mashups[0]) == row_bag(b.build(REQUEST)[0])
-
-
-def test_path_memo_respects_cost_model_toggle():
-    """The memo key includes the connector mode: toggling ``cost_model``
-    on a live engine must answer exactly like a fresh engine in that
-    mode, not from the other mode's memoized paths."""
-    b = skew_builder(cost_model=True, plan_cache=False)
-    b.build(REQUEST)
-    b.dod.cost_model = False
-    toggled = b.build(REQUEST)[0].plan.describe()
-    fresh = skew_builder(
-        cost_model=False, plan_cache=False
-    ).build(REQUEST)[0].plan.describe()
-    assert toggled == fresh
-    # and back: the cost-model answer is also mode-faithful
-    b.dod.cost_model = True
-    again = b.build(REQUEST)[0].plan.describe()
-    oracle = skew_builder(
-        cost_model=True, plan_cache=False
-    ).build(REQUEST)[0].plan.describe()
-    assert again == oracle

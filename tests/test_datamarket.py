@@ -15,13 +15,11 @@ from repro.errors import (
     InvalidRequestError,
     LicenseDowngradeError,
     MarketError,
-    ReproDeprecationWarning,
     UnknownParticipantError,
 )
-from repro.integration import DoDEngine, MashupRequest
+from repro.integration import MashupRequest
 from repro.market import Arbiter, BuyerPlatform, License, LicenseKind
 from repro.mashup import MashupBuilder
-from repro.discovery import DiscoveryEngine, IndexBuilder, MetadataEngine
 from repro.relation import Column, Relation
 from repro.wtp import PriceCurve, QueryCompletenessTask, WTPFunction
 
@@ -556,22 +554,3 @@ def test_exclusive_cap_shrink_below_holders_rejected():
         license=License(LicenseKind.EXCLUSIVE, max_licensees=2),
     )
     assert reg.licensees_of("ds") == ["b1", "b2"]
-
-
-# ---------------------------------------------------------------------------
-# deprecated manual wiring warns (and the test suite escalates it)
-# ---------------------------------------------------------------------------
-
-def test_add_datasets_is_deprecated():
-    builder = MashupBuilder()
-    with pytest.warns(ReproDeprecationWarning):
-        builder.add_datasets([make_dataset("ds_a", ["alpha"])])
-
-
-def test_implicit_dod_discovery_wiring_is_deprecated():
-    engine = MetadataEngine(num_perm=16)
-    index = IndexBuilder(engine)
-    with pytest.warns(ReproDeprecationWarning):
-        DoDEngine(engine, index)
-    # explicit wiring stays silent
-    DoDEngine(engine, index, DiscoveryEngine(engine, index))

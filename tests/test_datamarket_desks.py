@@ -51,26 +51,12 @@ def test_plan_result_is_lazy_until_materialized():
     relations = market.materialize(result)
     assert all(m.materialized for m in result.mashups)
     assert relations[0] is result.best.relation
-    # engine choice is a pure performance knob: bit-identical output
-    from repro.relation import IterationEngine
+    # bit-identical to the eager operators applied node-for-node
+    from oracles.execution import IterationEngine
 
     oracle = IterationEngine().execute(result.best.tree)
     assert oracle.rows == relations[0].rows
     assert oracle.provenance == relations[0].provenance
-
-
-def test_exec_engine_knob_threads_through():
-    market = DataMarket(internal_market(), exec_engine="iteration")
-    assert market.exec_engine == "iteration"
-    assert market.planner.exec_engine == "iteration"
-    market.register_dataset(make_dataset("ds_a", ["alpha"]), seller="s0")
-    result = market.plan(["alpha"], key="entity_id")
-    assert market.materialize(result)[0].columns == ("entity_id", "alpha")
-
-
-# ---------------------------------------------------------------------------
-# negotiation
-# ---------------------------------------------------------------------------
 
 
 def test_negotiation_flow_through_facade():

@@ -25,12 +25,12 @@ import threading
 import numpy as np
 import pytest
 
+from oracles.execution import IterationEngine
 from repro.platform.client import relation_from_wire
 from repro.platform.http import relation_from_payload, relation_to_payload
 from repro.relation import (
     Column,
     ColumnarEngine,
-    IterationEngine,
     ProvToken,
     Relation,
 )

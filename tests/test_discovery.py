@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.planning import hop_join_path
 from repro.discovery import (
     DiscoveryEngine,
     IndexBuilder,
@@ -153,14 +154,14 @@ def test_join_candidates_directional_view(indexed):
 def test_graph_and_path(indexed):
     _eng, index = indexed
     assert "weather" in index.graph
-    path = index.join_path("orders", "customers")
+    path = hop_join_path(index, "orders", "customers")
     assert len(path) == 1
     step = path[0]
     assert step.left_dataset == "orders" and step.left_column == "customer_id"
     with pytest.raises(DiscoveryError):
-        index.join_path("orders", "weather")
+        hop_join_path(index, "orders", "weather")
     with pytest.raises(DiscoveryError):
-        index.join_path("orders", "ghost")
+        hop_join_path(index, "orders", "ghost")
 
 
 def test_neighbours(indexed):

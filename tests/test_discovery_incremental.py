@@ -1,16 +1,19 @@
 """Incremental discovery pipeline: delta maintenance vs. the rebuild oracle.
 
-The index builder's incremental mode (LSH-bucketed neighbour re-scoring on
+The index builder's delta maintenance (LSH-bucketed neighbour re-scoring on
 typed metadata deltas) must be observationally identical to the O(C²) full
-rebuild it replaces: property-style sequences of register/update/remove are
-replayed against both modes and every externally visible query — ranked
-candidates, the join graph, join paths — is compared at each step.
+rebuild it replaces (``oracles.indexing``): property-style sequences of
+register/update/remove are replayed and every externally visible query —
+ranked candidates, the join graph, join paths — is compared against a fresh
+rebuild at each step.
 """
 
 import random
 
 import pytest
 
+from oracles.indexing import rebuilt_index
+from oracles.planning import hop_join_path
 from repro.datagen import make_classification_world
 from repro.discovery import (
     DiscoveryEngine,
@@ -78,14 +81,14 @@ def assert_equivalent(inc: IndexBuilder, oracle: IndexBuilder) -> None:
     for i, source in enumerate(datasets):
         for target in datasets[i + 1 :]:
             try:
-                cost = path_cost(oracle.join_path(source, target))
+                cost = path_cost(hop_join_path(oracle, source, target))
             except DiscoveryError:
                 with pytest.raises(DiscoveryError):
-                    inc.join_path(source, target)
+                    hop_join_path(inc, source, target)
                 continue
             # identical graphs guarantee identical optimal cost; the node
             # sequence itself may differ only between equally cheap ties
-            assert path_cost(inc.join_path(source, target)) == pytest.approx(
+            assert path_cost(hop_join_path(inc, source, target)) == pytest.approx(
                 cost, abs=1e-12
             )
 
@@ -94,8 +97,7 @@ def assert_equivalent(inc: IndexBuilder, oracle: IndexBuilder) -> None:
 def test_incremental_matches_full_rebuild_over_random_lifecycles(seed):
     rng = random.Random(seed)
     eng = MetadataEngine(num_perm=16)
-    inc = IndexBuilder(eng)  # incremental (the default)
-    oracle = IndexBuilder(eng, incremental=False)
+    inc = IndexBuilder(eng)
     live: set[str] = set()
     for _ in range(30):
         roll = rng.random()
@@ -110,7 +112,7 @@ def test_incremental_matches_full_rebuild_over_random_lifecycles(seed):
             name = rng.choice(sorted(live))
             eng.remove(name)
             live.discard(name)
-        assert_equivalent(inc, oracle)
+        assert_equivalent(inc, rebuilt_index(eng))
 
 
 def test_candidate_order_breaks_ties_on_column_names():
@@ -121,10 +123,9 @@ def test_candidate_order_breaks_ties_on_column_names():
     right = Relation("right", [Column("k1", "int"), Column("k2", "int")], rows)
     eng = MetadataEngine(num_perm=16)
     inc = IndexBuilder(eng)
-    oracle = IndexBuilder(eng, incremental=False)
     eng.register_batch([left, right])
     cands = canonical_candidates(inc)
-    assert cands == canonical_candidates(oracle)
+    assert cands == canonical_candidates(rebuilt_index(eng))
     equal_scores = [c for c in cands if c[4] == cands[0][4]]
     assert equal_scores == sorted(equal_scores)
 
@@ -177,7 +178,6 @@ def test_multigraph_maintenance_matches_refresh_rebuild():
 def test_pk_fk_direction_inferred_and_maintained():
     eng = MetadataEngine(num_perm=256)
     index = IndexBuilder(eng)
-    oracle = IndexBuilder(eng, incremental=False)
     customers = Relation(
         "customers",
         [Column("customer_id", "int"), Column("city", "str")],
@@ -191,9 +191,9 @@ def test_pk_fk_direction_inferred_and_maintained():
     eng.register_batch([customers, orders])
     (cand,) = index.join_candidates(min_score=0.5)
     assert cand.pk_side == "customers"  # orders.customer_id ⊆ customers'
-    (step,) = index.join_path("orders", "customers")
+    (step,) = hop_join_path(index, "orders", "customers")
     assert step.pk_side == "customers"
-    assert_equivalent(index, oracle)
+    assert_equivalent(index, rebuilt_index(eng))
     # updated orders now carries the full key range: containment symmetric
     eng.register(Relation(
         "orders",
@@ -202,7 +202,7 @@ def test_pk_fk_direction_inferred_and_maintained():
     ))
     (cand,) = index.join_candidates(min_score=0.5)
     assert cand.pk_side is None
-    assert_equivalent(index, oracle)
+    assert_equivalent(index, rebuilt_index(eng))
 
 
 def test_components_api_tracks_deltas():

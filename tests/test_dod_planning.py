@@ -1,9 +1,9 @@
 """Join-graph-aware DoD planning: beam search vs. the exhaustive oracle.
 
-The component-pruned best-first planner (the default) must return exactly
-the same ranked mashups — same scores, same join shapes — as the old
-``itertools.product`` sweep it replaces, which stays available behind
-``exhaustive=True`` as the reference oracle.  Mirroring the lifecycle-replay
+The component-pruned best-first planner must return exactly the same
+ranked mashups — same scores, same join shapes — as the old
+``itertools.product`` sweep it replaces, which ``oracles.planning`` keeps
+as the reference (:class:`ExhaustiveDoDEngine`).  Mirroring the lifecycle-replay
 style of ``tests/test_discovery_incremental.py``, randomized corpora are
 churned through register/update/remove deltas and both planners are compared
 after every step, while doing strictly less scoring work on the beam side.
@@ -13,8 +13,8 @@ import random
 
 import pytest
 
+from oracles.planning import ExhaustiveDoDEngine, install_planner
 from repro.discovery import DiscoveryEngine, IndexBuilder, MetadataEngine
-from repro.errors import IntegrationError, SimulationError
 from repro.integration import DoDEngine, MashupRequest
 from repro.mashup import MashupBuilder
 from repro.relation import Column, Relation
@@ -63,7 +63,7 @@ def planner_pair(engine: MetadataEngine):
     index = IndexBuilder(engine)
     discovery = DiscoveryEngine(engine, index)
     beam = DoDEngine(engine, index, discovery)
-    oracle = DoDEngine(engine, index, discovery, exhaustive=True)
+    oracle = ExhaustiveDoDEngine(engine, index, discovery)
     return beam, oracle
 
 
@@ -200,7 +200,9 @@ def test_misaligned_composite_falls_back_to_primary_pair():
         [(i, (i + 1) % n, float(i) * 2.0) for i in range(n)],
     )
     for exhaustive in (False, True):
-        builder = MashupBuilder(exhaustive=exhaustive)
+        builder = MashupBuilder()
+        if exhaustive:
+            install_planner(builder, ExhaustiveDoDEngine)
         builder.add_dataset(left)
         builder.add_dataset(right)
         mashups = builder.build(
@@ -213,15 +215,31 @@ def test_misaligned_composite_falls_back_to_primary_pair():
         assert all(not step.extra_on for step in joined.plan.joins)
 
 
-def test_builder_and_fullstack_expose_planner_choice():
+def test_builder_and_fullstack_expose_planner_choice(monkeypatch):
+    """The oracle planner swaps into a builder, and a full-stack market
+    deployment clears identically under either planner."""
+    from repro import DataMarket
     from repro.datagen import make_classification_world
     from repro.market import internal_market
-    from repro.simulator import simulate_market_deployment, uniform_values
+    from repro.simulator import (
+        fullstack,
+        simulate_market_deployment,
+        uniform_values,
+    )
 
-    exhaustive = MashupBuilder(exhaustive=True)
-    assert exhaustive.dod.exhaustive
-    with pytest.raises(IntegrationError):
-        MashupBuilder(beam_width=0)
+    builder = MashupBuilder()
+    assert isinstance(
+        install_planner(builder, ExhaustiveDoDEngine), ExhaustiveDoDEngine
+    )
+    assert builder.dod.engine is builder.metadata
+
+    deployed = []
+
+    def exhaustive_market(design):
+        market = DataMarket(design)
+        install_planner(market.builder, ExhaustiveDoDEngine)
+        deployed.append(market)
+        return market
 
     world = make_classification_world(
         n_entities=40, feature_weights=(1.0, 1.0),
@@ -229,6 +247,8 @@ def test_builder_and_fullstack_expose_planner_choice():
     )
     results = {}
     for planner in ("beam", "exhaustive"):
+        if planner == "exhaustive":
+            monkeypatch.setattr(fullstack, "DataMarket", exhaustive_market)
         result = simulate_market_deployment(
             internal_market(),
             world.datasets,
@@ -238,38 +258,10 @@ def test_builder_and_fullstack_expose_planner_choice():
             n_buyers=3,
             n_rounds=2,
             seed=5,
-            planner=planner,
         )
         results[planner] = (
             result.revenue, result.transactions, result.welfare
         )
     # planner choice must not change market outcomes, only planning work
     assert results["beam"] == results["exhaustive"]
-    with pytest.raises(SimulationError):
-        simulate_market_deployment(
-            internal_market(),
-            world.datasets,
-            wanted_attributes=["f0"],
-            value_sampler=uniform_values(10, 100),
-            strategy_mix={"truthful": 1.0},
-            planner="dfs",
-        )
-
-
-def test_beam_width_caps_frontier_but_keeps_best_plan():
-    """A narrow beam may lose tail plans but must keep the clear winner."""
-    engine = MetadataEngine(num_perm=16)
-    index = IndexBuilder(engine)
-    discovery = DiscoveryEngine(engine, index)
-    rows = [(i, float(i), float(i) * 3.0) for i in range(25)]
-    columns = [Column("entity_id", "int"), Column("alpha", "float"),
-               Column("beta", "float")]
-    for name in ("one", "two", "three"):
-        engine.register(Relation(name, columns, rows))
-    narrow = DoDEngine(engine, index, discovery, beam_width=2)
-    exact = DoDEngine(engine, index, discovery)
-    request = MashupRequest(attributes=["alpha", "beta"], key="entity_id")
-    narrow_plans = canonical_mashups(narrow, request)
-    exact_plans = canonical_mashups(exact, request)
-    assert narrow_plans
-    assert narrow_plans[0] == exact_plans[0]
+    assert [type(m.planner) for m in deployed] == [ExhaustiveDoDEngine]

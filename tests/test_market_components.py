@@ -1,6 +1,7 @@
 """Tests for ledger, audit log, lineage, licensing, negotiation, services,
 insurance — the DMMS building blocks."""
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -75,6 +76,33 @@ def test_ledger_conservation():
     ledger.transfer("a", "b", 30.0)
     assert ledger.conservation_check()
     assert ledger.total_minted() == 100.0
+
+
+def _billion_ledger(seed: int, n_transfers: int = 5000) -> Ledger:
+    """Three accounts funded with 1e9 each, then valid random transfers:
+    every movement rounds at the ~4.8e-7 ulp of 3e9-sized balances."""
+    rng = np.random.default_rng(seed)
+    ledger = Ledger()
+    names = ["a", "b", "c"]
+    for name in names:
+        ledger.mint(name, 1e9)
+    for _ in range(n_transfers):
+        src, dst = rng.choice(3, size=2, replace=False)
+        amount = float(rng.uniform(0, ledger.balance(names[src])))
+        ledger.transfer(names[src], names[dst], amount)
+    return ledger
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ledger_conservation_holds_at_large_balances(seed):
+    assert _billion_ledger(seed).conservation_check()
+
+
+def test_ledger_conservation_catches_a_cent_leak_at_large_balances():
+    ledger = _billion_ledger(0, n_transfers=50)
+    assert ledger.conservation_check()
+    ledger._balances["a"] += 0.01
+    assert not ledger.conservation_check()
 
 
 # -- audit log --------------------------------------------------------------------

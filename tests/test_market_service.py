@@ -54,7 +54,7 @@ def test_ticket_reraises_facade_errors_in_caller_thread(service):
     bad = service.register_dataset(rel("dup"), "acme")
     with pytest.raises(DuplicateDatasetError):
         bad.result(10)
-    assert service.status()["failed"] == 1
+    assert service.stats()["writes_failed"] == 1
     # the worker survives a failed op and keeps draining
     assert service.register_dataset(rel("next"), "acme").result(10).created
 
@@ -77,7 +77,7 @@ def test_flush_is_a_barrier(service):
     for i in range(5):
         service.register_dataset(rel(f"ds{i}"), "acme")
     service.flush()
-    assert service.status()["pending"] == 0
+    assert service.stats()["queue_depth"] == 0
     assert len(service.market.datasets) == 5
 
 
@@ -135,7 +135,7 @@ def test_pinned_readers_see_consistent_versions_under_churn(service):
         t.join()
     stop.set()
     assert errors == []
-    assert service.status()["failed"] == 0
+    assert service.stats()["writes_failed"] == 0
 
 
 def test_unpinned_reads_hold_the_read_lock_too(service):
@@ -154,7 +154,7 @@ def test_close_is_idempotent_and_rejects_new_writes(service):
     service.close()
     with pytest.raises(ServiceError):
         service.register_dataset(rel("late"), "acme")
-    assert service.status()["closed"] is True
+    assert service.stats()["closed"] is True
 
 
 def test_store_reads_require_a_store(service):

@@ -28,10 +28,11 @@ import struct
 import numpy as np
 import pytest
 
+from oracles.profiling import scalar_profile_table
 from repro import DataMarket
 from repro.discovery.profiler import profile_table
 from repro.errors import InvalidRequestError
-from repro.platform import MarketStore, StoreError
+from repro.platform import StoreError
 from repro.relation import Column, Relation
 from repro.relation.columnar import PACK_WIDTH, pack_value, unpack_value
 from repro.sketches import MinHash
@@ -302,11 +303,17 @@ def test_corrupt_payloads_rejected():
 # oph profiling: columnar == scalar oracle, edge relations included
 # ---------------------------------------------------------------------------
 
+def fresh(relation: Relation) -> Relation:
+    """An equal relation with its own columnar view: the oracle must not
+    read the OPH column hashes the columnar path memoized on the view."""
+    return Relation(relation.name, relation.schema, relation.rows)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_oph_profile_bit_identical_to_scalar_oracle(seed):
     relation = random_relation(seed)
-    columnar = profile_table(relation, columnar=True, scheme="oph")
-    scalar = profile_table(relation, columnar=False, scheme="oph")
+    columnar = profile_table(relation, scheme="oph")
+    scalar = scalar_profile_table(fresh(relation), scheme="oph")
     assert_profiles_identical(columnar, scalar)
     assert all(c.signature.scheme == "oph" for c in columnar.columns)
 
@@ -352,8 +359,8 @@ EDGE_RELATIONS = [
     "relation", EDGE_RELATIONS, ids=lambda r: r.name
 )
 def test_oph_profile_identical_on_edge_relations(relation):
-    columnar = profile_table(relation, columnar=True, scheme="oph")
-    scalar = profile_table(relation, columnar=False, scheme="oph")
+    columnar = profile_table(relation, scheme="oph")
+    scalar = scalar_profile_table(fresh(relation), scheme="oph")
     assert_profiles_identical(columnar, scalar)
 
 

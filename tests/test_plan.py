@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.errors import (
-    IntegrationError,
-    ReproDeprecationWarning,
-    SynthesisError,
-)
+from repro.errors import IntegrationError, SynthesisError
 from repro.integration import AffineMap, DictionaryMap
 from repro.mashup import JoinStep, MashupPlan, TransformStep, qualified
 from repro.relation import Column, Relation, RelationExpr
@@ -193,23 +189,11 @@ def test_plan_build_tree_is_lazy(datasets):
     # resolving datasets happens at build time, but no rows moved yet
     assert calls == ["orders", "customers"]
     # compare engines directly: collect() memoizes on the tree's payload
-    from repro.relation import ColumnarEngine, IterationEngine
+    from oracles.execution import IterationEngine
+    from repro.relation import ColumnarEngine
 
     eager = IterationEngine().execute(tree)
     columnar = ColumnarEngine().execute(tree)
     assert eager.rows == columnar.rows
     assert eager.provenance == columnar.provenance
     assert eager.schema == columnar.schema
-
-
-def test_plan_execute_shim_warns_and_matches_run(datasets):
-    plan = MashupPlan(
-        base="orders",
-        joins=[JoinStep("customers", "orders__cid", "customers__cid")],
-        output={"cid": "orders__cid", "city": "customers__city"},
-    )
-    expected = plan.run(resolver_of(datasets))
-    with pytest.warns(ReproDeprecationWarning, match="build_tree"):
-        out = plan.execute(resolver_of(datasets))
-    assert out.rows == expected.rows
-    assert out.schema == expected.schema

@@ -13,21 +13,16 @@ import random
 
 import pytest
 
-from repro.errors import (
-    ReproDeprecationWarning,
-    SchemaError,
-    UnknownColumnError,
-)
+from oracles.execution import IterationEngine
+from repro.errors import SchemaError, UnknownColumnError
 from repro.relation import (
     Column,
     ColumnarEngine,
-    IterationEngine,
     Join,
     LeafRelation,
     Processor,
     Relation,
     Select,
-    get_engine,
     push_down,
 )
 
@@ -142,25 +137,10 @@ def test_tree_structure_accessors():
 
 def test_payload_memoizes_across_engines():
     tree = orders().lazy().where(cid=2)
-    first = tree.collect("columnar")
-    assert tree.collect("iteration") is first  # payload serves all engines
-    assert Processor("iteration").count(tree) == 2
-
-
-def test_unknown_engine_name_rejected():
-    with pytest.raises(SchemaError, match="unknown execution engine"):
-        get_engine("vectorized")
-
-
-def test_rows_keyword_is_deprecated():
-    # positional rows are the supported entry point: no warning
-    Relation("d", [Column("x", "int")], [(1,)])
-    # the mutation-era keyword still works but warns
-    with pytest.warns(ReproDeprecationWarning, match="rows"):
-        rel = Relation("d", [Column("x", "int")], rows=[(1,), (2,)])
-    assert rel.rows == ((1,), (2,))
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        Relation("d", [Column("x", "int")], bogus=[(1,)])
+    first = tree.collect()
+    assert tree.collect() is first  # the payload serves every later read
+    assert Processor().count(tree) == 2
+    assert ITER.execute(tree).rows == first.rows
 
 
 # -- hand-written engine equivalences -------------------------------------

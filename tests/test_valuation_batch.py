@@ -10,6 +10,12 @@ games, and the batched WTP evaluation surface the arbiter round uses.
 import numpy as np
 import pytest
 
+from oracles.valuation import (
+    scalar_exact_shapley,
+    scalar_knn_shapley,
+    scalar_monte_carlo_shapley,
+    scalar_truncated_monte_carlo_shapley,
+)
 from repro.errors import ValuationError
 from repro.relation import Column, Relation
 from repro.valuation import (
@@ -138,8 +144,8 @@ def test_monte_carlo_batched_matches_scalar(vectorized):
     batched = monte_carlo_shapley(
         capped_game(12, vectorized=vectorized), 80, seed=3
     )
-    scalar = monte_carlo_shapley(
-        capped_game(12, vectorized=False), 80, seed=3, batched=False
+    scalar = scalar_monte_carlo_shapley(
+        capped_game(12, vectorized=False), 80, seed=3
     )
     for p in scalar:
         assert batched[p] == pytest.approx(scalar[p], abs=1e-6)
@@ -149,7 +155,7 @@ def test_monte_carlo_batched_matches_scalar_evaluation_count():
     g1 = capped_game(10)
     g2 = capped_game(10, vectorized=False)
     monte_carlo_shapley(g1, 40, seed=5)
-    monte_carlo_shapley(g2, 40, seed=5, batched=False)
+    scalar_monte_carlo_shapley(g2, 40, seed=5)
     # same permutations from the same seed -> same distinct coalitions
     assert g1.evaluations == g2.evaluations
 
@@ -159,9 +165,9 @@ def test_truncated_mc_batched_matches_scalar(tolerance):
     batched = truncated_monte_carlo_shapley(
         capped_game(12), 80, truncation_tolerance=tolerance, seed=3
     )
-    scalar = truncated_monte_carlo_shapley(
+    scalar = scalar_truncated_monte_carlo_shapley(
         capped_game(12, vectorized=False), 80,
-        truncation_tolerance=tolerance, seed=3, batched=False,
+        truncation_tolerance=tolerance, seed=3,
     )
     for p in scalar:
         assert batched[p] == pytest.approx(scalar[p], abs=1e-6)
@@ -179,7 +185,7 @@ def test_truncated_mc_batched_preserves_truncation_savings():
 
 def test_exact_shapley_batched_matches_scalar():
     batched = exact_shapley(capped_game(8))
-    scalar = exact_shapley(capped_game(8, vectorized=False), batched=False)
+    scalar = scalar_exact_shapley(capped_game(8, vectorized=False))
     for p in scalar:
         assert batched[p] == pytest.approx(scalar[p], abs=1e-9)
 
@@ -210,7 +216,7 @@ def test_knn_shapley_batched_matches_scalar():
     y = (x[:, 0] - x[:, 2] > 0).astype(int)
     x_test, y_test = x[:15], y[:15]
     batched = knn_shapley(x, y, x_test, y_test, k=3)
-    scalar = knn_shapley(x, y, x_test, y_test, k=3, batched=False)
+    scalar = scalar_knn_shapley(x, y, x_test, y_test, k=3)
     np.testing.assert_allclose(batched, scalar, atol=1e-9)
 
 
@@ -220,7 +226,7 @@ def test_knn_shapley_batched_single_training_point():
     x_test = np.array([[1.0, 1.0], [2.0, 2.0]])
     y_test = np.array([1, 0])
     batched = knn_shapley(x, y, x_test, y_test, k=1)
-    scalar = knn_shapley(x, y, x_test, y_test, k=1, batched=False)
+    scalar = scalar_knn_shapley(x, y, x_test, y_test, k=1)
     np.testing.assert_allclose(batched, scalar, atol=1e-12)
 
 

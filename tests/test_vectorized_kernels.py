@@ -18,13 +18,13 @@ import random
 import numpy as np
 import pytest
 
+from oracles.execution import IterationEngine
 from repro.relation import (
     And,
     Column,
     ColumnarEngine,
     Eq,
     In,
-    IterationEngine,
     LeafRelation,
     Predicate,
     Range,
