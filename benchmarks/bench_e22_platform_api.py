@@ -17,7 +17,8 @@ Two harnesses:
   gate for the ISSUE-4 tentpole).
 * **registration hashing** — the ``MinHash.update_many`` micro-benchmark:
   bulk registration with per-call dedupe + vectorized/memoized token
-  hashing vs. a per-value scalar-rehash path, on corpora with a shared
+  hashing vs. a per-value scalar-rehash path (``oracles.legacy``, folded
+  through the same production sketch), on corpora with a shared
   vocabulary.  Signatures must be identical.
 """
 
@@ -28,17 +29,10 @@ import time
 import numpy as np
 import pytest
 
+from oracles.legacy import legacy_update_many
 from repro import DataMarket, internal_market
 from repro.relation import Column, Relation
 from repro.sketches import MinHash
-from repro.sketches.minhash import (
-    _FNV_OFFSET,
-    _FNV_PRIME,
-    _M64,
-    _MIX_1,
-    _MIX_2,
-    _PRIME,
-)
 
 N_ROWS = 60
 ATTRS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
@@ -193,31 +187,6 @@ def test_e22_delta_invalidates_and_matches(plan_sweep):
 # ---------------------------------------------------------------------------
 # registration hashing: MinHash.update_many micro-benchmark
 # ---------------------------------------------------------------------------
-
-def _scalar_token_hash(token: str) -> int:
-    """Reference token hash (FNV-1a + mix), recomputed per value: no memo,
-    no vectorization — the bench's independent scalar re-implementation."""
-    x = _FNV_OFFSET
-    for byte in token.encode():
-        x = ((x ^ byte) * _FNV_PRIME) & _M64
-    x = ((x ^ (x >> 33)) * _MIX_1) & _M64
-    x = ((x ^ (x >> 33)) * _MIX_2) & _M64
-    x ^= x >> 33
-    return x % _PRIME
-
-
-def legacy_update_many(mh: MinHash, values) -> None:
-    """The legacy shape: one scalar hash per *value* (duplicates included),
-    no memo, no dedupe, no vectorized fold."""
-    hashes = np.fromiter(
-        (_scalar_token_hash(repr(v)) for v in values), dtype=np.int64
-    )
-    if hashes.size == 0:
-        return
-    hashed = (mh._a[:, None] * hashes[None, :] + mh._b[:, None]) % _PRIME
-    np.minimum(mh.signature, hashed.min(axis=1), out=mh.signature)
-    mh.count += int(hashes.size)
-
 
 def shared_vocab_columns(n_columns: int, n_values: int, vocab: int):
     """Columns over a shared token vocabulary (UUID-ish reuse across a

@@ -27,6 +27,7 @@ deterministic at any size.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
@@ -151,6 +152,10 @@ def kernel_speed(request):
     n = 5_000 if smoke else 50_000
     rel = select_corpus(n)
     rel.columnar.materialize()
+    # collect earlier benchmarks' cyclic garbage first: a collection that
+    # fires inside the ~15 ms vectorized timing frees it there and can
+    # take several times the kernel's own cost
+    gc.collect()
 
     pred = And(Range("f", low=0.5, high=1.5), In("t", ("alpha",)))
     tree = LeafRelation(rel).select(pred)

@@ -31,10 +31,11 @@ from repro.platform.store import TABLES, MarketStore  # noqa: E402
 README = ROOT / "README.md"
 
 #: columns whose presence is load-bearing beyond mere three-way agreement —
-#: replay refuses mixed-scheme corpora by reading these, so losing one
-#: silently would disable the guard rather than fail a query
+#: replay rebuilds every sketch from the signature payload and detects
+#: unchanged columns by content hash, so losing one silently would break
+#: replay rather than fail a query
 REQUIRED_COLUMNS: dict[str, tuple[str, ...]] = {
-    "column_profiles": ("scheme", "signature", "content_hash"),
+    "column_profiles": ("signature", "content_hash"),
 }
 
 

@@ -68,17 +68,10 @@ class DatasetLifecycle:
 class MetadataEngine:
     """Registers datasets, tracks versions, and profiles data items."""
 
-    def __init__(
-        self, num_perm: int = 64, access_quota: int | None = None,
-        scheme: str = "classic",
-    ):
+    def __init__(self, num_perm: int = 64, access_quota: int | None = None):
         self._lifecycles: dict[str, DatasetLifecycle] = {}
         self._clock = 0
         self._num_perm = num_perm
-        #: MinHash sketch scheme every profile in this engine uses
-        #: ("classic" or "oph"); one engine holds one scheme so every
-        #: signature it emits is mutually comparable
-        self.scheme = scheme
         #: optional cap on profile refreshes per source system (Section 4.2's
         #: "optional access quota established by the origin system")
         self.access_quota = access_quota
@@ -103,7 +96,7 @@ class MetadataEngine:
         view = relation.columnar
         view.retain_text = True
         try:
-            content_hash = table_content_hash(relation, scheme=self.scheme)
+            content_hash = table_content_hash(relation)
             lifecycle = self._lifecycles.get(name)
             if (
                 lifecycle is not None
@@ -121,7 +114,6 @@ class MetadataEngine:
                     relation,
                     num_perm=self._num_perm,
                     previous=previous.profile if previous else None,
-                    scheme=self.scheme,
                 ),
                 owners=(owner,),
                 credentials=credentials,

@@ -5,16 +5,17 @@ yields a value-distribution signature.  A :class:`ColumnProfile` packages the
 MinHash signature plus summary statistics; a :class:`TableProfile` is the
 per-dataset bundle stored inside context snapshots.
 
-Profiling is **columnar**: the relation's memoized
-:class:`~repro.relation.columnar.ColumnarView` computes one canonical
-``repr`` per value, and that single pass feeds every consumer — the
-column content hash digests the view's concatenated separator-delimited
-byte buffer in one C-level BLAKE2b call, the MinHash signature folds the
-distinct reprs through the vectorized token hasher, and the categorical
-summary counts the same cached strings.  The profiles are bit-identical
-to the value-at-a-time implementations the test suite keeps as its scalar
-reference oracle, which it asserts property-style over randomized dtypes
-under both sketch schemes.
+Profiling is **columnar and repr-free** where the dtype allows: the
+relation's memoized :class:`~repro.relation.columnar.ColumnarView` packs
+exact int/float/bool columns into fixed-width canonical rows, so one
+``np.unique`` pass yields the distinct token universe (hashed straight
+from the buffer by :func:`~repro.sketches.minhash.hash_packed`), the
+frequency table and the content-hash stream; exact str columns sketch and
+hash their raw UTF-8 values.  Only ``any``-typed and subclass-bearing
+columns, which have no sound repr-free encoding, fall back to one
+canonical ``repr`` per value.  The profiles are bit-identical to the
+value-at-a-time implementation the test suite keeps as its scalar
+reference oracle, which it asserts property-style over randomized dtypes.
 """
 
 from __future__ import annotations
@@ -123,34 +124,18 @@ def column_profile_from_record(
     )
 
 
-def column_content_hash(
-    relation: Relation, name: str, *, scheme: str = "classic",
-) -> str:
-    """Deterministic hash of one column's values (order-sensitive).
+def column_content_hash(relation: Relation, name: str) -> str:
+    """Deterministic hash of one column's values (order-sensitive),
+    memoized on the columnar view — the table digest computes every
+    column's hash up front and the per-column profiles reuse them.
 
-    Under the classic scheme it digests the ``repr``-based
-    separator-delimited byte stream in one C-level update.
-
-    Under the ``"oph"`` scheme the stream is **repr-free** where the dtype
-    allows: packed canonical rows for int/float/bool columns, a
-    length-prefixed UTF-8 concatenation for str columns;
-    ``any``-typed and subclass-bearing columns keep the repr stream.
-    Scheme-dependent by design — the two schemes hash different canonical
-    encodings, and the store refuses to mix them.
+    The stream is **repr-free** where the dtype allows: packed canonical
+    rows for int/float/bool columns, a length-prefixed UTF-8 concatenation
+    for str columns.  ``any``-typed and subclass-bearing columns digest
+    the ``repr``-based separator-delimited byte stream instead.
     """
-    if scheme == "oph":
-        return _oph_column_hash(relation, name)
-    return hashlib.blake2b(
-        relation.columnar.canonical_bytes(name), digest_size=16
-    ).hexdigest()
-
-
-def _oph_column_hash(relation: Relation, name: str) -> str:
-    """Repr-free column hash (the ``"oph"`` canonical stream), memoized on
-    the columnar view — the table digest computes every column's hash up
-    front and the per-column profiles reuse them."""
     view = relation.columnar
-    cached = view.oph_hashes.get(name)
+    cached = view.column_hashes.get(name)
     if cached is not None:
         return cached
     dtype = relation.schema[name].dtype
@@ -164,44 +149,36 @@ def _oph_column_hash(relation: Relation, name: str) -> str:
         h.update(payload)
     else:
         # no sound repr-free encoding (any-typed or subclass-bearing
-        # column): fall back to the classic repr stream
-        digest = column_content_hash(relation, name, scheme="classic")
-        view.oph_hashes[name] = digest
-        return digest
+        # column): the repr stream
+        h.update(view.canonical_bytes(name))
     digest = h.hexdigest()
-    view.oph_hashes[name] = digest
+    view.column_hashes[name] = digest
     return digest
 
 
-def table_content_hash(relation: Relation, *, scheme: str = "classic") -> str:
-    """Scheme-aware digest of a whole relation, used for change detection
-    and component fingerprints.
-
-    Classic delegates to :meth:`Relation.content_hash` (order-insensitive
-    sorted-row repr stream, memoized on the relation).  ``"oph"`` digests
-    the schema plus every column's repr-free content hash — no reprs, no
-    row materialization beyond the column transpose; order-*sensitive*,
-    which is sound everywhere the hash is consumed (equality means
-    unchanged, and replay compares hashes produced by the same scheme).
-    """
-    if scheme != "oph":
-        return relation.content_hash()
+def table_content_hash(relation: Relation) -> str:
+    """Digest of a whole relation, used for change detection and component
+    fingerprints: the schema, the row count and every column's content
+    hash — no row materialization beyond the column transpose.
+    Order-*sensitive*, which is sound everywhere the hash is consumed
+    (equality means unchanged)."""
     relation.columnar.materialize()  # one transpose for all columns
     h = hashlib.blake2b(digest_size=32)
     h.update(repr(relation.schema).encode())
     h.update(str(len(relation)).encode())
     for name in relation.schema.names:
-        h.update(_oph_column_hash(relation, name).encode())
+        h.update(column_content_hash(relation, name).encode())
     return h.hexdigest()
 
 
 def _packed_display(row: bytes, dtype: str) -> str:
     """Display key for one distinct packed row (categorical summaries).
 
-    Dtype-aware so pure int/bool columns render exactly like the classic
-    scheme; in float columns an integral token renders as its float form
-    (``1`` and ``1.0`` share one canonical token by design).  Irreversible
-    ``r`` rows (ints beyond int64) render as a tagged hex digest."""
+    Dtype-aware so pure int/bool columns render exactly like ``str`` of
+    their values; in float columns an integral token renders as its float
+    form (``1`` and ``1.0`` share one canonical token by design).
+    Irreversible ``r`` rows (ints beyond int64) render as a tagged hex
+    digest."""
     if row[0] == 0x72:  # 'r'
         return "int#" + row[1:].hex()
     v = unpack_value(row)
@@ -262,23 +239,23 @@ def _categorical_of_packed(
     return CategoricalSummary(count=count, nulls=nulls, distinct=n, top=top)
 
 
-def _profile_column_oph(
-    relation: Relation, name: str, num_perm: int, content_hash: str,
+def profile_column(
+    relation: Relation, name: str, num_perm: int = 64,
+    content_hash: str | None = None,
 ) -> ColumnProfile:
-    """The repr-free profiling path of the ``"oph"`` scheme.
+    """Sketch one column; pass ``content_hash`` when already computed.
 
     Packable (exact int/float/bool) columns sketch their distinct packed
     canonical rows via :func:`hash_packed`; exact str columns sketch the
     raw values (no repr quoting).  Columns without a sound repr-free
-    encoding fall back to repr tokens — still folded through the OPH
-    sketch, so every signature in an OPH corpus shares one scheme.
+    encoding fall back to repr tokens.
     """
     col = relation.schema[name]
     view = relation.columnar
     nulls = view.null_count(name)
     n_non_null = len(view.values(name)) - nulls
     numeric = None
-    signature = MinHash(num_perm=num_perm, scheme="oph")
+    signature = MinHash(num_perm=num_perm)
     if view.packable(name):
         uniq, counts = view.packed_distinct(name)
         signature.update_hashes(hash_packed(uniq), len(uniq))
@@ -299,7 +276,7 @@ def _profile_column_oph(
         distinct_count = len(tokens)
         categorical = CategoricalSummary.of_counts(freq, nulls)
     else:
-        # any-typed / subclass-bearing: repr tokens, OPH fold
+        # any-typed / subclass-bearing: repr tokens
         distinct = view.distinct_reprs(name)
         signature.update_tokens(distinct)
         non_null, _ = view.non_null(name)
@@ -319,56 +296,6 @@ def _profile_column_oph(
         distinct_fraction=(
             (distinct_count / n_non_null) if n_non_null else 0.0
         ),
-        content_hash=content_hash,
-    )
-
-
-def profile_column(
-    relation: Relation, name: str, num_perm: int = 64,
-    content_hash: str | None = None, *, scheme: str = "classic",
-) -> ColumnProfile:
-    """Sketch one column; pass ``content_hash`` when already computed."""
-    col = relation.schema[name]
-    if scheme == "oph":
-        return _profile_column_oph(
-            relation, name, num_perm,
-            content_hash or column_content_hash(relation, name, scheme=scheme),
-        )
-    view = relation.columnar
-    nulls = view.null_count(name)
-    distinct = view.distinct_reprs(name)
-    n_non_null = len(view.values(name)) - nulls
-    signature = MinHash.of_tokens(distinct, num_perm=num_perm)
-    numeric = None
-    if col.dtype in ("int", "float"):
-        numeric = NumericSummary.of_array(view.numeric_array(name), nulls)
-    freq = view.categorical_counts(name)
-    if freq is None:
-        # no sound counting pass (float/any, tiny, or subclass-bearing
-        # column): derive counts from the cached repr/value vectors —
-        # the repr/str shortcuts apply only to exact builtin cells
-        non_null, non_null_reprs = view.non_null(name)
-        exact = view.values_exact(name)
-        if col.dtype == "float" and exact and len(distinct) == n_non_null:
-            # str == repr for floats, and an all-unique (key-like)
-            # column needs no counting at all (repr is injective)
-            freq = dict.fromkeys(distinct, 1)
-        elif col.dtype in ("int", "float", "bool") and exact:
-            freq = Counter(non_null_reprs)
-        elif col.dtype == "str" and exact:
-            freq = Counter(non_null)  # str(v) is v for str values
-        else:
-            freq = Counter(map(str, non_null))
-    categorical = CategoricalSummary.of_counts(freq, nulls)
-    return ColumnProfile(
-        dataset=relation.name,
-        column=name,
-        dtype=col.dtype,
-        semantic=col.semantic,
-        signature=signature,
-        numeric=numeric,
-        categorical=categorical,
-        distinct_fraction=(len(distinct) / n_non_null) if n_non_null else 0.0,
         content_hash=content_hash or column_content_hash(relation, name),
     )
 
@@ -377,8 +304,6 @@ def profile_table(
     relation: Relation,
     num_perm: int = 64,
     previous: TableProfile | None = None,
-    *,
-    scheme: str = "classic",
 ) -> TableProfile:
     """Profile every column; with ``previous`` (the dataset's prior profile),
     columns whose values, dtype and semantic are unchanged reuse the old
@@ -391,14 +316,13 @@ def profile_table(
     for name in relation.columns:
         col = relation.schema[name]
         old = prior.get(name)
-        content_hash = column_content_hash(relation, name, scheme=scheme)
+        content_hash = column_content_hash(relation, name)
         if (
             old is not None
             and old.content_hash
             and old.dtype == col.dtype
             and old.semantic == col.semantic
             and old.signature.num_perm == num_perm
-            and old.signature.scheme == scheme
             and old.content_hash == content_hash
         ):
             columns.append(old)
@@ -406,13 +330,12 @@ def profile_table(
         columns.append(
             profile_column(
                 relation, name, num_perm=num_perm, content_hash=content_hash,
-                scheme=scheme,
             )
         )
     return TableProfile(
         dataset=relation.name,
         n_rows=len(relation),
-        content_hash=table_content_hash(relation, scheme=scheme),
+        content_hash=table_content_hash(relation),
         columns=tuple(columns),
     )
 

@@ -36,12 +36,12 @@ class Ledger:
         self._history: list[Transfer] = []
 
     # -- accounts ------------------------------------------------------------
-    def open_account(self, name: str, initial: float = 0.0) -> None:
+    def open_account(self, name: str) -> None:
+        """Open an empty account; balances only ever arrive through a
+        recorded :meth:`mint` or :meth:`transfer`."""
         if name in self._balances:
             raise LedgerError(f"account {name!r} already exists")
-        if initial < 0:
-            raise LedgerError("initial balance must be non-negative")
-        self._balances[name] = float(initial)
+        self._balances[name] = 0.0
 
     def ensure_account(self, name: str) -> None:
         if name not in self._balances:

@@ -36,9 +36,8 @@ class MashupBuilder:
     def __init__(
         self, num_perm: int = 64, min_overlap: float = 0.5,
         plan_cache: bool = True, plan_cache_size: int = 128,
-        scheme: str = "classic",
     ):
-        self.metadata = MetadataEngine(num_perm=num_perm, scheme=scheme)
+        self.metadata = MetadataEngine(num_perm=num_perm)
         self.index = IndexBuilder(self.metadata, min_overlap=min_overlap)
         self.discovery = DiscoveryEngine(self.metadata, self.index)
         self.dod = DoDEngine(

@@ -24,6 +24,14 @@ version it was computed against (``as_of``).  Errors on this surface are
 structured
 :class:`~repro.errors.MarketError` subclasses, never bare ``ValueError``.
 
+Every column is profiled under one sketch (one-permutation MinHash with
+probe densification, see :mod:`repro.sketches.minhash`), so all
+signatures a market holds are mutually comparable.  A durable store
+written under an older schema version — including schema 2, whose
+signatures, LSH band keys and join candidates came from other estimators
+— is refused at open with a typed ``StoreError``; re-registering the
+corpus is the migration.
+
 The engine classes remain importable (they are the internal layer); the
 façade is the supported wiring::
 
@@ -96,12 +104,7 @@ class DataMarket:
     ``plan_cache_size`` control the component-scoped plan cache (on by
     default, LRU-bounded): cached plans survive deltas in unrelated
     join-graph components and are evicted exactly when a delta touched a
-    component they depend on.  ``scheme`` selects the MinHash sketch
-    scheme for every column profile: ``"classic"`` (the ``num_perm``-way
-    universal-hash fold) or ``"oph"`` (one-permutation hashing with
-    densification plus repr-free packed canonicalization — the fast
-    ingest path); a store replays only into a market of the same scheme.
-    ``store`` (a path or a :class:`MarketStore`) makes every dataset delta
+    component they depend on.  ``store`` (a path or a :class:`MarketStore`) makes every dataset delta
     durable and cold-starts the market by replay.
     """
 
@@ -113,7 +116,6 @@ class DataMarket:
         min_overlap: float = 0.5,
         plan_cache: bool = True,
         plan_cache_size: int = 128,
-        scheme: str = "classic",
         store: MarketStore | str | None = None,
     ):
         self.design = design if design is not None else external_market()
@@ -124,7 +126,6 @@ class DataMarket:
                 min_overlap=min_overlap,
                 plan_cache=plan_cache,
                 plan_cache_size=plan_cache_size,
-                scheme=scheme,
             ),
         )
         self._rounds = 0

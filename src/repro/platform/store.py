@@ -7,7 +7,8 @@ process **replays** state instead of re-profiling every dataset:
 * dataset metadata (relation payload, snapshot lineage, seller, reserve,
   license and contextual-integrity policy),
 * per-column profiles — summary statistics plus the binary MinHash
-  signature (:meth:`~repro.sketches.MinHash.to_bytes`),
+  signature (:meth:`~repro.sketches.MinHash.to_bytes`: a header and the
+  raw one-permutation bins; replay re-densifies them),
 * the LSH band buckets each signature hashes into,
 * the join-candidate set and the relationship graph's edges, both with
   their fan-out estimates,
@@ -17,7 +18,12 @@ process **replays** state instead of re-profiling every dataset:
   serialization are simply not persisted),
 
 all keyed by ``graph_version`` so a cold start resumes the exact version
-counter — ``as_of`` stamps stay monotonic across restarts.
+counter — ``as_of`` stamps stay monotonic across restarts.  The store
+records its :data:`SCHEMA_VERSION`, and a store of any other version is
+refused at open with a typed :class:`StoreError` — schema-2 stores held
+signatures, band keys and join candidates from retired estimators, and
+replaying them beside new signatures would mix two estimators.
+Re-registering the corpus is the migration.
 
 Durability follows the usual SQLite service recipe: WAL journaling (readers
 never block the single writer), ``synchronous=NORMAL`` (safe with WAL; an
@@ -61,8 +67,11 @@ from ..relation import Relation
 from ..sketches import MinHash
 
 #: bump on any table change; a store created by a different schema version
-#: is refused rather than silently misread
-SCHEMA_VERSION = 2
+#: is refused rather than silently misread.  Version 3 holds one sketch
+#: scheme: schema-2 stores carried classic or rotation-densified
+#: signatures, band keys and join candidates from other estimators, so
+#: they are refused instead of replayed beside new signatures
+SCHEMA_VERSION = 3
 
 _JSON_SCALARS = (type(None), bool, int, float, str)
 
@@ -88,7 +97,7 @@ TABLES: dict[str, tuple[str, ...]] = {
     ),
     "column_profiles": (
         "dataset", "position", "column_name", "dtype", "semantic",
-        "distinct_fraction", "content_hash", "scheme", "signature",
+        "distinct_fraction", "content_hash", "signature",
         "numeric_json", "categorical_json",
     ),
     "lsh_buckets": ("dataset", "column_name", "band", "band_key"),
@@ -136,7 +145,6 @@ CREATE TABLE IF NOT EXISTS column_profiles (
     semantic          TEXT,
     distinct_fraction REAL NOT NULL,
     content_hash      TEXT NOT NULL,
-    scheme            TEXT NOT NULL,
     signature         BLOB NOT NULL,
     numeric_json      TEXT,
     categorical_json  TEXT NOT NULL,
@@ -253,7 +261,8 @@ class MarketStore:
             elif int(row[0]) != SCHEMA_VERSION:
                 raise StoreError(
                     f"store at {self.path!r} has schema version {row[0]}, "
-                    f"this build expects {SCHEMA_VERSION}"
+                    f"this build expects {SCHEMA_VERSION}: re-register the "
+                    f"corpus into a new store to migrate"
                 )
 
     # -- connection management -------------------------------------------
@@ -384,11 +393,11 @@ class MarketStore:
                 record = column_profile_record(cp)
                 conn.execute(
                     "INSERT INTO column_profiles VALUES "
-                    "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
                         name, position, cp.column, cp.dtype, cp.semantic,
                         cp.distinct_fraction, cp.content_hash,
-                        cp.signature.scheme, cp.signature.to_bytes(),
+                        cp.signature.to_bytes(),
                         None if record["numeric"] is None
                         else json.dumps(record["numeric"]),
                         json.dumps(record["categorical"]),
@@ -629,25 +638,6 @@ class MarketStore:
             ).fetchall()
             if not rows:
                 return 0
-            stored_schemes = sorted(
-                s for (s,) in conn.execute(
-                    "SELECT DISTINCT scheme FROM column_profiles"
-                )
-            )
-            if len(stored_schemes) > 1:
-                raise StoreError(
-                    f"store at {self.path!r} holds mixed sketch schemes "
-                    f"{stored_schemes}: signatures from different schemes "
-                    f"are not mutually comparable, refusing to replay"
-                )
-            market_scheme = market.metadata.scheme
-            if stored_schemes and stored_schemes[0] != market_scheme:
-                raise StoreError(
-                    f"store at {self.path!r} was written with sketch "
-                    f"scheme {stored_schemes[0]!r} but the market uses "
-                    f"{market_scheme!r}: re-register the corpus to "
-                    f"migrate schemes"
-                )
             profiles: list[TableProfile] = []
             for (name, version, logical_time, content_hash, owner,
                  credentials, seller, reserve, license_json, n_rows,
@@ -659,20 +649,14 @@ class MarketStore:
                 )
                 columns = []
                 for (col, dtype, semantic, distinct_fraction,
-                     col_hash, scheme, sig, numeric_json,
+                     col_hash, sig, numeric_json,
                      categorical_json) in conn.execute(
                     "SELECT column_name, dtype, semantic, "
-                    "distinct_fraction, content_hash, scheme, signature, "
+                    "distinct_fraction, content_hash, signature, "
                     "numeric_json, categorical_json FROM column_profiles "
                     "WHERE dataset = ? ORDER BY position", (name,)
                 ):
                     signature = MinHash.from_bytes(sig)
-                    if signature.scheme != scheme:
-                        raise StoreError(
-                            f"column profile {name}.{col} declares scheme "
-                            f"{scheme!r} but its signature payload decodes "
-                            f"as {signature.scheme!r}: the store is corrupt"
-                        )
                     record = {
                         "column": col,
                         "dtype": dtype,

@@ -2,25 +2,33 @@
 
 The ingest cold path (profiling, sketching, content hashing) and several
 relational operators all need per-column data that the row-major tuple
-storage keeps re-deriving: the value vector, one canonical ``repr`` string
-per value, null counts, value frequencies, a separator-delimited canonical
-byte buffer, and a numeric array.  Relations are immutable, so all of it
-can be computed once and shared — a :class:`ColumnarView` is built lazily
-on first use and cached on the relation (``Relation.columnar``).
+storage keeps re-deriving: the value vector, null counts, value
+frequencies, packed canonical rows, a numeric array, and — for the
+relation-level content hash and ``any``-typed columns — one canonical
+``repr`` string per value.  Relations are immutable, so all of it can be
+computed once and shared — a :class:`ColumnarView` is built lazily on
+first use and cached on the relation (``Relation.columnar``).
 
-For columns whose dtype guarantees that equal values share one ``repr``
-(:data:`REPR_DEDUP_DTYPES`), everything derives from a **single counting
-pass**: ``Counter(values)`` yields the null count and the distinct value
-universe, ``repr`` runs once per *distinct* value, and the per-row repr
-vector, the distinct token set for MinHash and the categorical frequency
-table are all fanned out from that one table.  Float and ``any`` columns
-fall back to per-value derivation (``0.0 == -0.0`` yet their reprs differ,
-and containers are unhashable).
+The profiler's canonical forms are **repr-free** where the dtype allows:
+exact int/float/bool columns pack into fixed-width rows
+(:func:`pack_value`, :meth:`ColumnarView.packed_matrix`) whose
+``np.unique`` yields the distinct token universe and frequency table in
+one pass, and exact str columns stream their raw UTF-8
+(:meth:`ColumnarView.utf8_stream`).
 
-The canonical byte buffer of a column is exactly the byte stream the
-scalar ``column_content_hash`` loop feeds BLAKE2b (``repr(value)`` UTF-8
-encoded, each value followed by ``0x1f``), so digesting it in a single
-C-level call yields a bit-identical hash.
+The ``repr`` vector (:meth:`ColumnarView.reprs`) backs
+``Relation.content_hash``, which keys arbiter offers and DoD examples, and
+the profiler's fallback for columns without a repr-free encoding.  For
+columns whose dtype guarantees that equal values share one ``repr``
+(:data:`REPR_DEDUP_DTYPES`) it derives from a **single counting pass**:
+``Counter(values)`` yields the null count and the distinct value universe,
+``repr`` runs once per *distinct* value and fans out through a dict;
+float columns dedup by IEEE bit pattern instead (``0.0 == -0.0`` yet their
+reprs differ), and ``any`` columns take one ``repr`` per cell (containers
+are unhashable).  The canonical byte buffer of a column
+(:meth:`ColumnarView.canonical_bytes`: ``repr(value)`` UTF-8 encoded, each
+value followed by ``0x1f``) is the stream the profiler's fallback content
+hash digests in a single C-level call.
 
 Values in columns with a declared scalar dtype (int/float/str/bool) are
 assumed to be plain scalars or ``None`` per schema validation; only those
@@ -74,7 +82,7 @@ _COUNT_MIN_ROWS = 64
 #: content-hash loop)
 CANONICAL_SEP = "\x1f"
 
-# -- repr-free canonical packing (the "oph" scheme's numeric tokens) -------
+# -- repr-free canonical packing (the sketch's numeric tokens) -------------
 #
 # Numeric values canonicalize to a fixed 9-byte row: one tag byte plus an
 # 8-byte little-endian payload.  The encoding is a *total* function of the
@@ -150,9 +158,9 @@ class ColumnarView:
 
     __slots__ = (
         "_relation", "_values", "_reprs", "_nulls", "_non_null",
-        "_counts", "_counts_any", "_repr_table", "_distinct", "_exact",
+        "_counts", "_counts_any", "_repr_table", "_exact",
         "_types", "_utf8_ok", "_packed", "_packed_distinct", "_numeric",
-        "oph_hashes", "retain_text",
+        "column_hashes", "retain_text",
     )
 
     def __init__(self, relation: "Relation"):
@@ -172,14 +180,12 @@ class ColumnarView:
         self._counts: dict[str, Mapping] = {}
         #: value -> repr (including None when present), dedup dtypes only
         self._repr_table: dict[str, dict] = {}
-        #: distinct non-null reprs (the MinHash token universe)
-        self._distinct: dict[str, set[str]] = {}
         self._exact: dict[str, bool] = {}
         #: observed runtime types per column (one C-level scan, cached)
         self._types: dict[str, frozenset] = {}
-        #: ungated value counts for the "oph" profile path (may cover
+        #: ungated value counts for the profiler's str path (may cover
         #: columns ``value_counts`` refuses; never fed back into the
-        #: classic repr caches)
+        #: repr caches)
         self._counts_any: dict[str, Mapping | None] = {}
         #: join-validated "every non-null cell is a str" verdicts (the
         #: gate of the repr-free UTF-8 stream; accepts str subclasses,
@@ -192,10 +198,9 @@ class ColumnarView:
         self._packed: dict[str, np.ndarray] = {}
         #: (distinct packed rows, counts) over non-null values
         self._packed_distinct: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        #: repr-free column content hashes memoized by the profiler (the
-        #: "oph" scheme computes them once for the table digest, then
-        #: reuses them per column profile)
-        self.oph_hashes: dict[str, str] = {}
+        #: column content hashes memoized by the profiler (computed once
+        #: for the table digest, then reused per column profile)
+        self.column_hashes: dict[str, str] = {}
 
     # -- raw vectors -------------------------------------------------------
     def materialize(self) -> None:
@@ -265,11 +270,11 @@ class ColumnarView:
         return counts
 
     def value_counts_any(self, name: str) -> Mapping | None:
-        """Occurrence counts without the dedup-soundness gate (the "oph"
-        profile path counts raw values for any hashable column).  Shares
+        """Occurrence counts without the dedup-soundness gate (the
+        profiler counts raw values for any hashable str column).  Shares
         an already-built :meth:`value_counts` result but caches its own —
-        the classic repr caches never see counts for columns they would
-        refuse.  Returns None only for unhashable cells."""
+        the repr caches never see counts for columns they would refuse.
+        Returns None only for unhashable cells."""
         sentinel = self._counts_any
         if name in sentinel:
             return sentinel[name]
@@ -291,7 +296,6 @@ class ColumnarView:
         if table is None:
             counts = self.value_counts(name)
             table = {v: repr(v) for v in counts}
-            self._distinct[name] = set(table.values())
             if self._nulls[name]:
                 table[None] = "None"
             self._repr_table[name] = table
@@ -371,28 +375,8 @@ class ColumnarView:
 
     def distinct_reprs(self, name: str) -> set[str]:
         """Distinct reprs of the non-null values — the MinHash token
-        universe and the distinct-count numerator."""
-        distinct = self._distinct.get(name)
-        if distinct is None:
-            if self._dedupable(name):
-                self._table(name)  # populates the distinct set
-                return self._distinct[name]
-            _, non_null_reprs = self.non_null(name)
-            distinct = set(non_null_reprs)
-            self._distinct[name] = distinct
-        return distinct
-
-    def categorical_counts(self, name: str) -> Mapping[str, int] | None:
-        """``str(value) -> count`` over non-null values, derived from the
-        counting pass (dedup dtypes only; str(v) == repr(v) for int/bool
-        and str(v) is v for str)."""
-        counts = self.value_counts(name)
-        if counts is None:
-            return None
-        if self._relation.schema[name].dtype == "str":
-            return counts
-        table = self._table(name)
-        return {table[v]: c for v, c in counts.items()}
+        universe of columns without a repr-free encoding."""
+        return set(self.non_null(name)[1])
 
     def non_null(self, name: str) -> tuple[tuple, list[str]]:
         """(non-null values, their reprs), both in row order."""
@@ -426,11 +410,10 @@ class ColumnarView:
         self._counts.clear()
         self._counts_any.clear()
         self._repr_table.clear()
-        self._distinct.clear()
         self._packed.clear()
         self._packed_distinct.clear()
         self._numeric.clear()
-        self.oph_hashes.clear()
+        self.column_hashes.clear()
 
     # -- derived buffers (computed on demand, not cached: single-use) ------
     def canonical_bytes(self, name: str) -> bytes:
@@ -460,7 +443,7 @@ class ColumnarView:
             )
         return np.asarray(values, dtype=float)
 
-    # -- packed canonical rows (the repr-free "oph" ingest path) -----------
+    # -- packed canonical rows (the repr-free ingest path) ------------------
     def packable(self, name: str) -> bool:
         """True when the column canonicalizes through the packed numeric
         encoding: a declared int/float/bool dtype holding only the exact
@@ -603,7 +586,7 @@ class ColumnarView:
         scan), so the method returns None for columns without a sound
         UTF-8 stream and the verdict is cached for :meth:`utf8_able`.
         str *subclasses* pass — their character content is their
-        canonical form under the packed/UTF-8 scheme."""
+        canonical form under the packed/UTF-8 encoding."""
         if self._utf8_ok.get(name) is False:
             return None
         values = self.values(name)
@@ -635,15 +618,3 @@ class ColumnarView:
         if ok is None:
             ok = self.utf8_stream(name) is not None
         return ok
-
-    def distinct_values(self, name: str) -> set:
-        """Distinct non-null values (str columns under "oph": the
-        repr-free MinHash token universe — the values *are* their own
-        tokens)."""
-        counts = self.value_counts_any(name)
-        if counts is not None:
-            return set(counts)
-        values = self.values(name)
-        distinct = set(values)
-        distinct.discard(None)
-        return distinct

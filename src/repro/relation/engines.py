@@ -309,13 +309,10 @@ def _tuple_join(
 class ColumnarEngine(Engine):
     """Pipelined execution over per-leaf index arrays (late materialization).
 
-    ``optimize`` (default True) applies :func:`push_down` before
-    evaluation; the rewrite is order- and provenance-preserving, so the
-    bit-identity contract holds either way.
+    Every tree is rewritten by :func:`push_down` before evaluation; the
+    rewrite is order- and provenance-preserving, so results stay
+    bit-identical to the iteration oracle's on the original tree.
     """
-
-    def __init__(self, optimize: bool = True):
-        self.optimize = optimize
 
     # -- public API --------------------------------------------------------
     def execute(self, tree: RelationExpr) -> Relation:
@@ -330,8 +327,7 @@ class ColumnarEngine(Engine):
         cached = tree.__dict__.get("_columnar_batch")
         if cached is not None:
             return cached
-        plan = push_down(tree) if self.optimize else tree
-        batch = self._eval(plan)
+        batch = self._eval(push_down(tree))
         object.__setattr__(tree, "_columnar_batch", batch)
         return batch
 

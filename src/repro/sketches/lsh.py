@@ -18,10 +18,9 @@ from .minhash import MinHash
 class LSHIndex:
     """Banded LSH index mapping keys to MinHash signatures.
 
-    Banding consumes the dense ``signature`` vector only, so classic and
-    OPH signatures index identically — but one index must hold one scheme
-    (and one seed): the first signature added pins both, and adding or
-    querying with a mismatched signature raises a typed
+    Banding consumes the dense (densified) ``signature`` vector.  One index
+    must hold one seed: the first signature added pins it, and adding or
+    querying with a signature of another seed raises a typed
     :class:`~repro.errors.InvalidRequestError` instead of silently
     bucketing incomparable minima."""
 
@@ -37,8 +36,8 @@ class LSHIndex:
             defaultdict(list) for _ in range(bands)
         ]
         self._signatures: dict[Hashable, MinHash] = {}
-        #: (scheme, seed) pinned by the first signature added
-        self._family: tuple[str, int] | None = None
+        #: seed pinned by the first signature added
+        self._seed: int | None = None
 
     def __len__(self) -> int:
         return len(self._signatures)
@@ -46,22 +45,21 @@ class LSHIndex:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._signatures
 
-    def _check_family(self, signature: MinHash, pin: bool) -> None:
+    def _check_seed(self, signature: MinHash, pin: bool) -> None:
         if signature.num_perm != self.num_perm:
             raise ValueError("signature width does not match index")
-        family = (signature.scheme, signature.seed)
-        if self._family is None:
+        if self._seed is None:
             if pin:
-                self._family = family
-        elif family != self._family:
+                self._seed = signature.seed
+        elif signature.seed != self._seed:
             raise InvalidRequestError(
-                f"signature scheme/seed {family} does not match the "
-                f"index's {self._family}: mixed sketch families cannot "
+                f"signature seed {signature.seed} does not match the "
+                f"index's {self._seed}: mixed sketch families cannot "
                 f"share LSH bands"
             )
 
     def add(self, key: Hashable, signature: MinHash) -> None:
-        self._check_family(signature, pin=True)
+        self._check_seed(signature, pin=True)
         if key in self._signatures:
             raise KeyError(f"key {key!r} already indexed")
         self._signatures[key] = signature
@@ -91,7 +89,7 @@ class LSHIndex:
         every indexed signature sharing at least one minimum with the query —
         i.e. every pair with estimated Jaccard > 0 — collides.
         """
-        self._check_family(signature, pin=False)
+        self._check_seed(signature, pin=False)
         out: set[Hashable] = set()
         for band, bucket in enumerate(self._buckets):
             lo = band * self.rows

@@ -6,7 +6,7 @@ estimates Jaccard similarity between columns from the signatures alone to
 propose join candidates without scanning raw data.
 
 Token hashing is a 64-bit FNV-1a fold finalized with a splitmix64-style
-mixer, reduced into ``[0, 2**31 - 1)``.  The scheme is deterministic across
+mixer, reduced into ``[0, 2**31 - 1)``.  The hash is deterministic across
 processes (Python's builtin ``hash`` is salted per-process and unsuitable)
 and — unlike a per-token cryptographic digest — has two interchangeable,
 bit-identical implementations:
@@ -19,27 +19,31 @@ bit-identical implementations:
 
 :func:`hash_tokens` picks between them by batch size, so signatures are
 identical to a token-at-a-time scalar fold by construction (the scalar
-reference profilers in ``tests/oracles`` fold that way, and
+reference profiler in ``tests/oracles`` folds that way, and
 ``tests/test_columnar_profiling.py`` checks both agree).
 
-Two sketch *schemes* share that token-hash layer:
+The sketch is **one-permutation hashing with probe densification**: each
+token is hashed *once*, translated by a seed-derived offset, bucketed into
+``num_perm`` bins by its high bits (``(h * num_perm) // P``), and the raw
+state is the per-bin minimum — O(tokens) work instead of the
+O(tokens x num_perm) of a k-permutation fold.  Sets smaller than
+``num_perm`` leave bins empty; each empty bin copies the minimum of the
+first filled bin along its own probe sequence (Shrivastava, "Optimal
+Densification for Fast and Accurate Minwise Hashing", ICML 2017).  A bin's
+probe sequence is a fixed pseudo-random permutation of all bins, a function
+of ``(num_perm, seed, bin, attempt)`` only, so two signatures borrow from
+the same donor exactly when that donor is the first bin filled in both —
+which keeps the Jaccard estimate unbiased — and, unlike rotation
+densification (copy the nearest filled bin to the left), runs of empty bins
+draw independent donors instead of all repeating one.  The sequences are
+keyed once per ``(num_perm, seed)``; densifying is one gather and one
+``argmin`` over (empty bins x filled bins), and a permutation reaches a
+filled bin within ``num_perm`` attempts, so no attempt loop or fallback is
+needed.
 
-* ``"classic"`` — the k-permutation fold: every token hash goes through
-  ``num_perm`` universal hashes ``(a_i * h + b_i) mod P`` and the signature
-  is the per-permutation minimum.  Accurate, well-understood, and kept as
-  the property-tested oracle.
-* ``"oph"`` — one-permutation hashing with rotation densification: each
-  token is hashed *once*, bucketed into ``num_perm`` bins by its high bits
-  (``(h * num_perm) // P``), and the signature is the per-bin minimum;
-  empty bins borrow from the nearest filled bin to their left (circular),
-  offset by a rotation constant per step so borrowed slots still compare
-  meaningfully across signatures.  ~``num_perm``× fewer hash applications
-  per token, same LSH banding compatibility, unbiased Jaccard estimates
-  (Shrivastava & Li style densification).
-
-Both schemes serialize through :meth:`MinHash.to_bytes` with a scheme tag
-(legacy tag-less payloads deserialize as ``"classic"``), and mixing schemes
-or seeds in :meth:`MinHash.jaccard`/:meth:`MinHash.merge` raises a typed
+:meth:`MinHash.to_bytes` serializes the header plus the raw bins (the
+densified view is recomputed on load), and comparing or merging signatures
+built under different seeds raises a typed
 :class:`~repro.errors.InvalidRequestError` instead of silently producing
 garbage estimates.
 """
@@ -53,9 +57,8 @@ import numpy as np
 
 from ..errors import InvalidRequestError
 
-#: modulus for universal hashing; small enough that a*h+b fits in int64.
-#: A Mersenne prime (2^31 - 1), so ``x mod _PRIME`` reduces to shifts and
-#: masks — see :meth:`MinHash._fold_classic`.
+#: size of the token-hash universe ``[0, _PRIME)`` (the Mersenne prime
+#: 2^31 - 1); also the empty-bin sentinel of the raw OPH state
 _PRIME = (1 << 31) - 1
 
 _M64 = (1 << 64) - 1
@@ -63,11 +66,6 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MIX_1 = 0xFF51AFD7ED558CCD
 _MIX_2 = 0xC4CEB9FE1A85EC53
-
-#: rotation constant for OPH densification: empty bin at distance d from
-#: its donor takes ``(donor + d * _ROT) mod _PRIME`` so two signatures
-#: agree on a borrowed slot only when they agree on donor *and* distance
-_ROT = 1481765933
 
 #: process-wide token-hash memo: corpora share vocabularies heavily, so the
 #: hash of a token is computed once and reused across every column and
@@ -274,81 +272,71 @@ def stable_hash(value: object) -> int:
     return _hash_token(repr(value))
 
 
-#: (num_perm, seed) -> shared immutable permutation coefficient arrays;
-#: profiling sketches one column per MinHash, so re-deriving the same
-#: coefficients from a fresh generator per column was measurable overhead
-_PERM_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _permutations(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (num_perm, seed)
-    ab = _PERM_CACHE.get(key)
-    if ab is None:
-        rng = np.random.default_rng(seed)
-        a = rng.integers(1, _PRIME, size=num_perm, dtype=np.int64)
-        b = rng.integers(0, _PRIME, size=num_perm, dtype=np.int64)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        ab = _PERM_CACHE[key] = (a, b)
-    return ab
+def _splitmix64(x: int) -> int:
+    """splitmix64 finalizer of one 64-bit integer."""
+    x = (x * 0x9E3779B97F4A7C15) & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
 
 
 def _seed_offset(seed: int) -> int:
-    """Seed-derived additive offset for the OPH scheme, in ``[0, _PRIME)``.
+    """Seed-derived additive offset, in ``[0, _PRIME)``.
 
-    OPH hashes each token once with the unseeded shared token hash; the
+    Each token is hashed once with the unseeded shared token hash; the
     seed enters as a mod-``_PRIME`` translation (a bijection on the hash
     universe), so different seeds yield independent-looking bin layouts
     while the token-hash memo stays shared across all seeds."""
-    x = (seed * 0x9E3779B97F4A7C15) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    x ^= x >> 31
-    return x % _PRIME
+    return _splitmix64(seed) % _PRIME
 
 
-_SCHEMES = ("classic", "oph")
-_SCHEME_CODES = {"classic": 0, "oph": 1}
-_SCHEME_NAMES = {code: name for name, code in _SCHEME_CODES.items()}
+#: (num_perm, seed) -> read-only probe-key table, see :func:`_probe_keys`
+_PROBE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _probe_keys(num_perm: int, seed: int) -> np.ndarray:
+    """``keys[j, d]``: empty bin ``j``'s probe sequence visits the bins in
+    ascending ``keys[j]`` order.
+
+    The keys are a splitmix64 hash of ``(num_perm, seed, j, d)``, so each
+    bin's sequence is a pseudo-random permutation of all bins — drawn
+    without replacement, it meets every filled bin within ``num_perm``
+    attempts — and the first filled bin along it is the filled ``d`` of
+    least key.  Built once per ``(num_perm, seed)`` and shared by every
+    signature of that family."""
+    key = (num_perm, seed)
+    keys = _PROBE_CACHE.get(key)
+    if keys is None:
+        x = np.arange(num_perm * num_perm, dtype=np.uint64)
+        x += np.uint64(_splitmix64(seed) ^ num_perm)
+        x *= np.uint64(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        keys = x.reshape(num_perm, num_perm)
+        keys.setflags(write=False)
+        _PROBE_CACHE[key] = keys
+    return keys
 
 
 class MinHash:
-    """A fixed-width MinHash signature over a set of values.
+    """A fixed-width one-permutation MinHash signature over a set of values.
 
-    ``scheme`` selects the sketching algorithm (see module docstring):
-    ``"classic"`` folds every token through ``num_perm`` universal hashes;
-    ``"oph"`` buckets single-hashed tokens into ``num_perm`` bins and
-    densifies empty bins by rotation.  ``signature`` is always the dense
-    ``num_perm``-wide vector LSH banding and Jaccard estimation consume;
-    for OPH the raw per-bin minima live in ``_bins`` (the mergeable,
-    serialized state) and ``signature`` is their densified view.
+    The raw per-bin minima live in ``_bins`` (the mergeable, serialized
+    state, ``_PRIME`` marking an empty bin); ``signature`` is their
+    densified ``num_perm``-wide view, which LSH banding and Jaccard
+    estimation consume (see the module docstring).
     """
 
-    __slots__ = (
-        "num_perm", "seed", "scheme", "_a", "_b", "_bins",
-        "signature", "count",
-    )
+    __slots__ = ("num_perm", "seed", "_bins", "signature", "count")
 
-    def __init__(
-        self, num_perm: int = 64, seed: int = 7, scheme: str = "classic"
-    ):
+    def __init__(self, num_perm: int = 64, seed: int = 7):
         if num_perm < 1:
             raise ValueError("num_perm must be >= 1")
-        if scheme not in _SCHEMES:
-            raise ValueError(
-                f"unknown MinHash scheme {scheme!r} (expected one of "
-                f"{', '.join(_SCHEMES)})"
-            )
         self.num_perm = num_perm
         self.seed = seed
-        self.scheme = scheme
-        if scheme == "classic":
-            self._a, self._b = _permutations(num_perm, seed)
-            self._bins = None
-        else:
-            self._a = self._b = None
-            self._bins = np.full(num_perm, _PRIME, dtype=np.int64)
-        self.signature = np.full(num_perm, _PRIME, dtype=np.int64)
+        self._bins = np.full(num_perm, _PRIME, dtype=np.int64)
+        self.signature = self._bins.copy()
         #: distinct tokens folded in (per update call; duplicate tokens never
         #: inflate it, so ``count == 0`` means "no value ever inserted" and
         #: the emptiness semantics of :meth:`jaccard` are exact)
@@ -366,8 +354,8 @@ class MinHash:
 
     def update_tokens(self, tokens: Iterable[str]) -> None:
         """Fold pre-canonicalized token strings (the profiler's bulk entry
-        point — its columnar view already holds one ``repr`` per value);
-        :func:`hash_tokens` picks the hash route per batch."""
+        point for str and ``any`` columns); :func:`hash_tokens` picks the
+        hash route per batch."""
         distinct = (
             tokens if isinstance(tokens, (set, frozenset)) else set(tokens)
         )
@@ -386,40 +374,7 @@ class MinHash:
             self._fold(np.asarray(hashes, dtype=np.int64))
             self.count += distinct
 
-    #: token-axis chunk width of the universal-hash fold: keeps the
-    #: (num_perm, chunk) temporaries cache-resident on wide token sets
-    _FOLD_CHUNK = 4096
-
     def _fold(self, hashes: np.ndarray) -> None:
-        if self.scheme == "classic":
-            self._fold_classic(hashes)
-        else:
-            self._fold_oph(hashes)
-
-    def _fold_classic(self, hashes: np.ndarray) -> None:
-        # (k, n) matrix of universal hashes; min over values per
-        # permutation (a*h+b < 2**62 always fits int64).  The reduction
-        # mod the Mersenne prime 2^31-1 uses two shift/mask folds plus a
-        # conditional subtract instead of int64 division — bit-identical
-        # to np.mod and several times cheaper, which matters because this
-        # matrix is the single hottest allocation of classic ingest.
-        a_col = self._a[:, None]
-        b_col = self._b[:, None]
-        for lo in range(0, len(hashes), self._FOLD_CHUNK):
-            part = hashes[lo:lo + self._FOLD_CHUNK]
-            view = a_col * part[None, :]
-            view += b_col
-            hi = view >> 31
-            np.bitwise_and(view, _PRIME, out=view)
-            view += hi
-            np.right_shift(view, 31, out=hi)
-            np.bitwise_and(view, _PRIME, out=view)
-            view += hi
-            # after two folds values sit in [0, _PRIME + 1]
-            np.subtract(view, _PRIME, out=view, where=view >= _PRIME)
-            np.minimum(self.signature, view.min(axis=1), out=self.signature)
-
-    def _fold_oph(self, hashes: np.ndarray) -> None:
         # one-permutation fold: seed-translate, sort, bucket by high bits.
         # The bin index (h * num_perm) // _PRIME is monotone in h, so after
         # sorting, the first occurrence of each bin value *is* that bin's
@@ -433,52 +388,40 @@ class MinHash:
         first = np.empty(len(s), dtype=bool)
         first[0] = True
         np.not_equal(bins[1:], bins[:-1], out=first[1:])
-        idx = bins[first]
-        np.minimum.at(self._bins, idx, s[first])
+        np.minimum.at(self._bins, bins[first], s[first])
         self._densify()
 
     def _densify(self) -> None:
         """Recompute the dense ``signature`` from the raw per-bin minima:
-        every empty bin borrows from the nearest filled bin to its left
-        (circular), offset by ``distance * _ROT`` mod ``_PRIME``.  Pure and
-        deterministic, so densified signatures replay bit-identically from
-        the serialized raw bins."""
+        every empty bin copies the minimum of the first filled bin along
+        its probe sequence (:func:`_probe_keys`).  Filled bins hold values
+        from their own bin's hash range, so a borrowed slot never matches
+        a filled one.  Pure and deterministic, so densified signatures
+        replay bit-identically from the serialized raw bins."""
         bins = self._bins
-        empty = bins == _PRIME
-        if not empty.any():
-            self.signature = bins.copy()
-            return
-        if empty.all():
-            self.signature = bins.copy()  # still the virgin sentinel vector
-            return
-        k = self.num_perm
-        idx = np.arange(k)
-        src = np.where(empty, -1, idx)
-        np.maximum.accumulate(src, out=src)
-        last = int(src[-1])  # index of the last filled bin
-        wrapped = src < 0
-        donor = np.where(wrapped, last, src)
-        dist = idx - donor
-        dist[wrapped] += k
+        filled = bins != _PRIME
         sig = bins.copy()
-        sig[empty] = (bins[donor[empty]] + dist[empty] * _ROT) % _PRIME
+        donors = np.flatnonzero(filled)
+        if 0 < len(donors) < self.num_perm:
+            empty = np.flatnonzero(~filled)
+            keys = _probe_keys(self.num_perm, self.seed)
+            first = keys[np.ix_(empty, donors)].argmin(axis=1)
+            sig[empty] = bins[donors[first]]
         self.signature = sig
 
     @classmethod
     def of(
         cls, values: Iterable[object], num_perm: int = 64, seed: int = 7,
-        scheme: str = "classic",
     ) -> "MinHash":
-        mh = cls(num_perm=num_perm, seed=seed, scheme=scheme)
+        mh = cls(num_perm=num_perm, seed=seed)
         mh.update_many(values)
         return mh
 
     @classmethod
     def of_tokens(
         cls, tokens: Iterable[str], num_perm: int = 64, seed: int = 7,
-        scheme: str = "classic",
     ) -> "MinHash":
-        mh = cls(num_perm=num_perm, seed=seed, scheme=scheme)
+        mh = cls(num_perm=num_perm, seed=seed)
         mh.update_tokens(tokens)
         return mh
 
@@ -489,12 +432,6 @@ class MinHash:
             raise InvalidRequestError(
                 f"cannot {op} MinHash signatures with different seeds "
                 f"({self.seed} vs {other.seed}): estimates would be garbage"
-            )
-        if self.scheme != other.scheme:
-            raise InvalidRequestError(
-                f"cannot {op} MinHash signatures with different schemes "
-                f"({self.scheme!r} vs {other.scheme!r}): estimates would "
-                f"be garbage"
             )
 
     def jaccard(self, other: "MinHash") -> float:
@@ -508,77 +445,48 @@ class MinHash:
 
     def merge(self, other: "MinHash") -> "MinHash":
         """Signature of the union of both underlying sets (``count`` becomes
-        an upper bound on the union's distinct insertions)."""
+        an upper bound on the union's distinct insertions).  The union's
+        minima live in the raw bins, so the merged state is densified
+        afresh rather than mixing borrowed slots."""
         self._check_comparable(other, "merge")
         merged = MinHash.__new__(MinHash)
         merged.num_perm = self.num_perm
         merged.seed = self.seed
-        merged.scheme = self.scheme
-        merged._a, merged._b = self._a, self._b
         merged.count = self.count + other.count
-        if self.scheme == "classic":
-            merged._bins = None
-            merged.signature = np.minimum(self.signature, other.signature)
-        else:
-            # union minima live in the raw bins; densify the merged state
-            # rather than mixing borrowed (densified) slots
-            merged._bins = np.minimum(self._bins, other._bins)
-            merged._densify()
+        merged._bins = np.minimum(self._bins, other._bins)
+        merged._densify()
         return merged
 
     def digest(self) -> tuple[int, ...]:
         return tuple(int(v) for v in self.signature)
 
-    #: serialized header: num_perm, seed, count (little-endian, fixed
-    #: width), followed by one scheme-tag byte since schema v2
+    #: serialized header: num_perm, seed, count (little-endian, fixed width)
     _HEADER = struct.Struct("<iiq")
 
     def to_bytes(self) -> bytes:
-        """Round-trippable serialization: header (num_perm, seed, count),
-        one scheme-tag byte, then the scheme's *raw state* as little-endian
-        int64 — the classic signature vector, or OPH's per-bin minima (the
+        """Round-trippable serialization: header (num_perm, seed, count)
+        followed by the raw per-bin minima as little-endian int64 (the
         densified view is recomputed on load, so merged/updated replays
         stay bit-identical)."""
         header = self._HEADER.pack(self.num_perm, self.seed, self.count)
-        state = self.signature if self.scheme == "classic" else self._bins
-        return (
-            header
-            + bytes([_SCHEME_CODES[self.scheme]])
-            + state.astype("<i8").tobytes()
-        )
+        return header + self._bins.astype("<i8").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MinHash":
-        """Rebuild a signature serialized by :meth:`to_bytes`, bit-identical.
-
-        Payloads written before the scheme tag existed (header + state,
-        no tag byte) deserialize as ``"classic"`` — classic stores replay
-        unchanged across the upgrade."""
+        """Rebuild a signature serialized by :meth:`to_bytes`, bit-identical;
+        a payload of any other length raises ``ValueError``."""
         num_perm, seed, count = cls._HEADER.unpack_from(data)
-        legacy = cls._HEADER.size + 8 * num_perm
-        tagged = legacy + 1
-        if len(data) == legacy:
-            scheme, offset = "classic", cls._HEADER.size
-        elif len(data) == tagged:
-            code = data[cls._HEADER.size]
-            scheme = _SCHEME_NAMES.get(code)
-            if scheme is None:
-                raise ValueError(f"unknown MinHash scheme tag {code}")
-            offset = cls._HEADER.size + 1
-        else:
+        expected = cls._HEADER.size + 8 * num_perm
+        if len(data) != expected:
             raise ValueError(
                 f"corrupt MinHash payload: {len(data)} bytes, "
-                f"expected {legacy} or {tagged}"
+                f"expected {expected}"
             )
-        mh = cls(num_perm=num_perm, seed=seed, scheme=scheme)
-        state = np.frombuffer(data, dtype="<i8", offset=offset).astype(
-            np.int64
-        )
-        if scheme == "classic":
-            mh.signature = state
-        else:
-            mh._bins = state
-            mh._densify()
+        mh = cls(num_perm=num_perm, seed=seed)
+        mh._bins = np.frombuffer(
+            data, dtype="<i8", offset=cls._HEADER.size
+        ).astype(np.int64)
+        mh._densify()
         mh.count = count
         return mh
 

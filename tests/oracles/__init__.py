@@ -11,8 +11,12 @@ library so that ``src/`` ships one production path per layer:
   subclasses;
 * :mod:`oracles.indexing` — the O(C²) full rebuild the incrementally
   patched join index must equal;
-* :mod:`oracles.profiling` — the value-at-a-time profilers (both sketch
-  schemes) the columnar profiler must match bit-for-bit;
+* :mod:`oracles.profiling` — the value-at-a-time profiler the columnar
+  profiler must match bit-for-bit;
+* :mod:`oracles.legacy` — the sketching the one-permutation MinHash
+  replaced: the classic k-permutation fold, its value-at-a-time profiler,
+  and the pre-fastpath per-value ingest and hashing replicas the ingest
+  benchmarks time production against;
 * :mod:`oracles.valuation` — the scalar Shapley and KNN-Shapley loops the
   batched estimators must match to floating-point accumulation order.
 

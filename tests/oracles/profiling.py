@@ -1,4 +1,4 @@
-"""Profiling oracles: value-at-a-time profilers for both sketch schemes.
+"""Profiling oracle: the value-at-a-time profiler.
 
 The columnar profiler in :mod:`repro.discovery.profiler` must produce
 bit-identical profiles — signatures, summaries and content hashes — to
@@ -9,7 +9,8 @@ buffers.  Signatures match the production functions one-for-one
 benchmark can swap them into :class:`~repro.discovery.MetadataEngine`
 (``repro.discovery.metadata.profile_table`` / ``table_content_hash``) and
 time the oracle through the same registration path
-(:func:`scalar_profiling`).
+(:func:`scalar_profiling`; :func:`profiling_through` swaps in any other
+profiler, such as the classic-scheme one in :mod:`oracles.legacy`).
 """
 
 from __future__ import annotations
@@ -42,24 +43,11 @@ def scalar_update_tokens(signature: MinHash, tokens) -> None:
     )
 
 
-def scalar_column_content_hash(
-    relation: Relation, name: str, *, scheme: str = "classic",
-) -> str:
-    """Value-by-value digest of the stream ``column_content_hash`` hashes."""
-    if scheme == "oph":
-        return _scalar_oph_column_hash(relation, name)
-    h = hashlib.blake2b(digest_size=16)
-    for v in relation.column(name):
-        h.update(repr(v).encode())
-        h.update(b"\x1f")
-    return h.hexdigest()
-
-
-def _scalar_oph_column_hash(relation: Relation, name: str) -> str:
-    """Per-value loops over the repr-free ``"oph"`` stream, memoized on the
-    columnar view like the production hash."""
+def scalar_column_content_hash(relation: Relation, name: str) -> str:
+    """Per-value loops over the stream ``column_content_hash`` digests,
+    memoized on the columnar view like the production hash."""
     view = relation.columnar
-    cached = view.oph_hashes.get(name)
+    cached = view.column_hashes.get(name)
     if cached is not None:
         return cached
     dtype = relation.schema[name].dtype
@@ -78,41 +66,39 @@ def _scalar_oph_column_hash(relation: Relation, name: str) -> str:
             if v is not None:
                 h.update(v.encode())
     else:
-        # no sound repr-free encoding: the classic repr stream
-        digest = scalar_column_content_hash(relation, name, scheme="classic")
-        view.oph_hashes[name] = digest
-        return digest
+        # no sound repr-free encoding: the repr stream
+        for v in relation.column(name):
+            h.update(repr(v).encode())
+            h.update(b"\x1f")
     digest = h.hexdigest()
-    view.oph_hashes[name] = digest
+    view.column_hashes[name] = digest
     return digest
 
 
-def scalar_table_content_hash(
-    relation: Relation, *, scheme: str = "classic",
-) -> str:
+def scalar_table_content_hash(relation: Relation) -> str:
     """``table_content_hash`` over the scalar column hashes."""
-    if scheme != "oph":
-        return relation.content_hash()
     relation.columnar.materialize()
     h = hashlib.blake2b(digest_size=32)
     h.update(repr(relation.schema).encode())
     h.update(str(len(relation)).encode())
     for name in relation.schema.names:
-        h.update(_scalar_oph_column_hash(relation, name).encode())
+        h.update(scalar_column_content_hash(relation, name).encode())
     return h.hexdigest()
 
 
-def _scalar_profile_column_oph(
-    relation: Relation, name: str, num_perm: int, content_hash: str,
+def scalar_profile_column(
+    relation: Relation, name: str, num_perm: int = 64,
+    content_hash: str | None = None,
 ) -> ColumnProfile:
-    """Per-value ``pack_value``/``_hash_bytes_raw`` loops over the
-    ``"oph"`` scheme's canonical tokens."""
+    """Sketch one column value-at-a-time: per-value
+    ``pack_value``/``_hash_bytes_raw`` loops over the packed canonical
+    tokens, the scalar token hash for str and repr tokens."""
     col = relation.schema[name]
     view = relation.columnar
     nulls = view.null_count(name)
     n_non_null = len(view.values(name)) - nulls
     numeric = None
-    signature = MinHash(num_perm=num_perm, scheme="oph")
+    signature = MinHash(num_perm=num_perm)
     if view.packable(name):
         packed = Counter(
             pack_value(v)
@@ -160,41 +146,6 @@ def _scalar_profile_column_oph(
         distinct_fraction=(
             (distinct_count / n_non_null) if n_non_null else 0.0
         ),
-        content_hash=content_hash,
-    )
-
-
-def scalar_profile_column(
-    relation: Relation, name: str, num_perm: int = 64,
-    content_hash: str | None = None, *, scheme: str = "classic",
-) -> ColumnProfile:
-    """Sketch one column value-at-a-time."""
-    if scheme == "oph":
-        return _scalar_profile_column_oph(
-            relation, name, num_perm,
-            content_hash or scalar_column_content_hash(
-                relation, name, scheme=scheme
-            ),
-        )
-    col = relation.schema[name]
-    values = relation.column(name)
-    non_null = [v for v in values if v is not None]
-    n_non_null = len(non_null)
-    distinct = {repr(v) for v in non_null}
-    signature = MinHash(num_perm=num_perm)
-    scalar_update_tokens(signature, distinct)
-    numeric = None
-    if col.dtype in ("int", "float"):
-        numeric = NumericSummary.of(values)
-    return ColumnProfile(
-        dataset=relation.name,
-        column=name,
-        dtype=col.dtype,
-        semantic=col.semantic,
-        signature=signature,
-        numeric=numeric,
-        categorical=CategoricalSummary.of(values),
-        distinct_fraction=(len(distinct) / n_non_null) if n_non_null else 0.0,
         content_hash=content_hash or scalar_column_content_hash(
             relation, name
         ),
@@ -205,8 +156,6 @@ def scalar_profile_table(
     relation: Relation,
     num_perm: int = 64,
     previous: TableProfile | None = None,
-    *,
-    scheme: str = "classic",
 ) -> TableProfile:
     """``profile_table`` over the scalar column profiler, with the same
     reuse of unchanged columns from ``previous``."""
@@ -215,14 +164,13 @@ def scalar_profile_table(
     for name in relation.columns:
         col = relation.schema[name]
         old = prior.get(name)
-        content_hash = scalar_column_content_hash(relation, name, scheme=scheme)
+        content_hash = scalar_column_content_hash(relation, name)
         if (
             old is not None
             and old.content_hash
             and old.dtype == col.dtype
             and old.semantic == col.semantic
             and old.signature.num_perm == num_perm
-            and old.signature.scheme == scheme
             and old.content_hash == content_hash
         ):
             columns.append(old)
@@ -230,26 +178,30 @@ def scalar_profile_table(
         columns.append(
             scalar_profile_column(
                 relation, name, num_perm=num_perm, content_hash=content_hash,
-                scheme=scheme,
             )
         )
     return TableProfile(
         dataset=relation.name,
         n_rows=len(relation),
-        content_hash=scalar_table_content_hash(relation, scheme=scheme),
+        content_hash=scalar_table_content_hash(relation),
         columns=tuple(columns),
     )
 
 
 @contextmanager
-def scalar_profiling():
-    """Route :meth:`MetadataEngine.register` through the scalar oracle:
+def profiling_through(profile_table, table_content_hash):
+    """Route :meth:`MetadataEngine.register` through another profiler:
     swap the profiler and table hash the engine module calls, restoring
     them on exit."""
     saved = metadata.profile_table, metadata.table_content_hash
-    metadata.profile_table = scalar_profile_table
-    metadata.table_content_hash = scalar_table_content_hash
+    metadata.profile_table = profile_table
+    metadata.table_content_hash = table_content_hash
     try:
         yield
     finally:
         metadata.profile_table, metadata.table_content_hash = saved
+
+
+def scalar_profiling():
+    """Register through the scalar oracle (:func:`scalar_profile_table`)."""
+    return profiling_through(scalar_profile_table, scalar_table_content_hash)

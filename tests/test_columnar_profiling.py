@@ -2,9 +2,11 @@
 
 The tentpole guarantee: profiling, sketching and hashing through the
 memoized columnar view produce **bit-identical** outputs to the
-value-at-a-time scalar implementations, over randomized dtypes and edge
-shapes (nulls, non-ASCII strings, empty columns/relations, ``any``-typed
-containers)."""
+value-at-a-time scalar implementation (``oracles.profiling``), over
+randomized dtypes and edge shapes (nulls, non-ASCII strings, empty
+columns/relations, ``any``-typed containers).  The oracle always gets an
+equal relation with its own columnar view (:func:`fresh`), so it never
+reads the column hashes the production path memoized."""
 
 from __future__ import annotations
 
@@ -27,12 +29,14 @@ from repro.discovery.profiler import (
     profile_table,
 )
 from repro.relation import Column, Relation
+from repro.relation.columnar import PACK_WIDTH, pack_value
 from repro.sketches import CategoricalSummary, MinHash
 from repro.sketches.minhash import (
     _VECTORIZE_MIN,
     _hash_token,
     _hash_token_batch,
     _TOKEN_CACHE,
+    hash_packed,
     hash_tokens,
 )
 
@@ -91,6 +95,12 @@ def random_relation(seed: int, n_rows: int | None = None) -> Relation:
     return Relation(f"rel_{seed}", cols, rows)
 
 
+def fresh(relation: Relation) -> Relation:
+    """An equal relation with its own columnar view: the oracle must not
+    read the column hashes the columnar path memoized on the view."""
+    return Relation(relation.name, relation.schema, relation.rows)
+
+
 def assert_profiles_identical(a, b):
     assert a.dataset == b.dataset
     assert a.n_rows == b.n_rows
@@ -116,7 +126,7 @@ def assert_profiles_identical(a, b):
 def test_columnar_profile_bit_identical_to_scalar_oracle(seed):
     relation = random_relation(seed)
     columnar = profile_table(relation)
-    scalar = scalar_profile_table(relation)
+    scalar = scalar_profile_table(fresh(relation))
     assert_profiles_identical(columnar, scalar)
 
 
@@ -127,7 +137,7 @@ def test_columnar_profile_identical_on_large_relations(seed):
     take the direct per-value route, so both must be pinned."""
     relation = random_relation(seed, n_rows=150)
     columnar = profile_table(relation)
-    scalar = scalar_profile_table(relation)
+    scalar = scalar_profile_table(fresh(relation))
     assert_profiles_identical(columnar, scalar)
 
 
@@ -150,18 +160,18 @@ def test_subclass_values_disable_dedup_and_stay_identical():
     ):
         relation = Relation("enums", [("c", "int")], rows)
         assert column_content_hash(relation, "c") == (
-            scalar_column_content_hash(relation, "c")
+            scalar_column_content_hash(fresh(relation), "c")
         )
         assert_profiles_identical(
             profile_table(relation),
-            scalar_profile_table(relation),
+            scalar_profile_table(fresh(relation)),
         )
     tagged = Relation(
         "tags", [("s", "str")],
         [(Tag("x"),)] * 40 + [("x",)] * 40,
     )
     assert column_content_hash(tagged, "s") == (
-        scalar_column_content_hash(tagged, "s")
+        scalar_column_content_hash(fresh(tagged), "s")
     )
 
 
@@ -185,7 +195,7 @@ def test_columnar_profile_identical_on_duplicate_heavy_columns():
     relation = Relation("dups", cols, rows)
     assert_profiles_identical(
         profile_table(relation),
-        scalar_profile_table(relation),
+        scalar_profile_table(fresh(relation)),
     )
 
 
@@ -193,7 +203,7 @@ def test_profile_of_empty_relation_matches():
     relation = Relation("empty", [("a", "int"), ("b", "str")], [])
     assert_profiles_identical(
         profile_table(relation),
-        scalar_profile_table(relation),
+        scalar_profile_table(fresh(relation)),
     )
 
 
@@ -204,36 +214,59 @@ def test_profile_of_all_null_column_matches():
     )
     columnar = profile_table(relation)
     assert_profiles_identical(
-        columnar, scalar_profile_table(relation)
+        columnar, scalar_profile_table(fresh(relation))
     )
     assert columnar.column("a").distinct_fraction == 0.0
     assert columnar.column("a").categorical.nulls == 8
 
 
 def test_column_content_hash_matches_legacy_stream():
-    """Both modes reproduce the historical per-value BLAKE2b stream."""
+    """Columns without a repr-free encoding (``any``-typed ones) hash the
+    historical per-value BLAKE2b repr stream; every column's hash matches
+    the scalar oracle."""
+    checked = 0
     for seed in range(8):
         relation = random_relation(seed)
         for name in relation.columns:
+            digest = column_content_hash(relation, name)
+            assert digest == scalar_column_content_hash(fresh(relation), name)
+            if relation.schema[name].dtype != "any":
+                continue
             h = hashlib.blake2b(digest_size=16)
             for v in relation.column(name):
                 h.update(repr(v).encode())
                 h.update(b"\x1f")
-            legacy = h.hexdigest()
-            assert column_content_hash(relation, name) == legacy
-            assert scalar_column_content_hash(relation, name) == legacy
+            assert digest == h.hexdigest()
+            checked += 1
+    assert checked  # the seeds include any-typed columns
 
 
 def test_profile_signature_equals_minhash_of_raw_values():
-    """Profiler tokens are exactly the values' reprs, so a signature built
-    from the raw non-null values through the public API must agree."""
+    """Profiler tokens are the values' canonical forms — packed rows for
+    int/float/bool, the raw string for str, ``repr`` for ``any`` — so a
+    signature built from the raw non-null values must agree."""
     relation = random_relation(3, n_rows=40)
     profile = profile_table(relation)
+    dtypes = set()
     for name in relation.columns:
+        dtype = relation.schema[name].dtype
+        dtypes.add(dtype)
         non_null = [v for v in relation.column(name) if v is not None]
-        assert profile.column(name).signature.digest() == MinHash.of(
-            non_null, num_perm=64
-        ).digest()
+        if dtype in ("int", "float", "bool"):
+            packed = {pack_value(v) for v in non_null}
+            expected = MinHash(num_perm=64)
+            expected.update_hashes(
+                hash_packed(np.frombuffer(
+                    b"".join(packed), dtype=np.uint8
+                ).reshape(-1, PACK_WIDTH)),
+                len(packed),
+            )
+        elif dtype == "str":
+            expected = MinHash.of_tokens(non_null, num_perm=64)
+        else:
+            expected = MinHash.of(non_null, num_perm=64)
+        assert profile.column(name).signature.digest() == expected.digest()
+    assert {"int", "str", "any"} <= dtypes
 
 
 def test_scalar_oracle_registered_through_metadata_engine():
@@ -326,7 +359,7 @@ def test_any_dtype_cells_with_array_equality_profile_identically():
     )
     assert_profiles_identical(
         profile_table(relation),
-        scalar_profile_table(relation),
+        scalar_profile_table(fresh(relation)),
     )
 
 
@@ -342,8 +375,10 @@ def test_content_hash_alone_does_not_pin_text_caches():
     assert relation.content_hash() == legacy
     view = relation._columnar
     assert view is not None and not view._reprs and not view._counts
-    # profiling afterwards still works and agrees
-    assert profile_table(relation).content_hash == legacy
+    # profiling afterwards still works and agrees with the oracle
+    assert_profiles_identical(
+        profile_table(relation), scalar_profile_table(fresh(relation))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,23 @@ def test_pk_fk_direction_inferred_and_maintained():
         [(i, float(i)) for i in range(80)],
     )
     eng.register_batch([customers, orders])
-    (cand,) = index.join_candidates(min_score=0.5)
-    assert cand.pk_side == "customers"  # orders.customer_id ⊆ customers'
+
+    def candidates():
+        return {
+            (c.left_dataset, c.left_column, c.right_dataset, c.right_column):
+                c
+            for c in index.join_candidates(min_score=0.5)
+        }
+
+    # numerically equal values share one canonical token (``1 == 1.0``),
+    # so orders.amount (float(i), i < 80) pairs with the key as well
+    by_pair = candidates()
+    key_pair = ("customers", "customer_id", "orders", "customer_id")
+    assert set(by_pair) == {
+        key_pair, ("customers", "customer_id", "orders", "amount"),
+    }
+    # orders.customer_id ⊆ customers'
+    assert by_pair[key_pair].pk_side == "customers"
     (step,) = hop_join_path(index, "orders", "customers")
     assert step.pk_side == "customers"
     assert_equivalent(index, rebuilt_index(eng))
@@ -200,8 +215,11 @@ def test_pk_fk_direction_inferred_and_maintained():
         [Column("customer_id", "int"), Column("amount", "float")],
         [(i, float(i)) for i in range(100)],
     ))
-    (cand,) = index.join_candidates(min_score=0.5)
-    assert cand.pk_side is None
+    by_pair = candidates()
+    assert set(by_pair) == {
+        key_pair, ("customers", "customer_id", "orders", "amount"),
+    }
+    assert by_pair[key_pair].pk_side is None
     assert_equivalent(index, rebuilt_index(eng))
 
 

@@ -35,18 +35,20 @@ from repro.relation import Relation
 def test_ledger_open_mint_transfer():
     ledger = Ledger()
     ledger.open_account("alice")
-    ledger.open_account("bob", initial=5.0)
+    ledger.open_account("bob")
+    ledger.mint("bob", 5.0)
     ledger.mint("alice", 10.0)
     ledger.transfer("alice", "bob", 4.0, memo="test")
     assert ledger.balance("alice") == 6.0
     assert ledger.balance("bob") == 9.0
-    assert len(ledger.history("bob")) == 1
+    assert len(ledger.history("bob")) == 2  # the mint and the transfer
     assert ledger.history()[-1].memo == "test"
+    assert ledger.conservation_check()
 
 
 def test_ledger_overdraft_refused():
     ledger = Ledger()
-    ledger.open_account("a", initial=1.0)
+    ledger.mint("a", 1.0)
     ledger.open_account("b")
     with pytest.raises(InsufficientFundsError):
         ledger.transfer("a", "b", 2.0)
@@ -58,7 +60,7 @@ def test_ledger_validation():
     with pytest.raises(LedgerError):
         ledger.open_account("a")
     with pytest.raises(LedgerError):
-        ledger.open_account("c", initial=-1.0)
+        ledger.mint("c", -1.0)
     with pytest.raises(LedgerError):
         ledger.balance("ghost")
     with pytest.raises(LedgerError):

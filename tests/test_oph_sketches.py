@@ -1,33 +1,35 @@
-"""One-permutation hashing scheme: accuracy, canonicalization, safety.
+"""One-permutation MinHash with probe densification: accuracy,
+canonicalization, safety.
 
-Four property families around the ``"oph"`` sketch scheme:
+Four property families around the production sketch:
 
-* **Estimator accuracy** — OPH-with-densification and the classic
-  k-permutation fold both estimate exact Jaccard within concentration
-  bounds, including tiny universes where most bins are empty and
-  densification supplies nearly the whole signature.
+* **Estimator accuracy** — OPH with probe densification and the classic
+  k-permutation oracle (``oracles.legacy``) both estimate exact Jaccard
+  within concentration bounds, including tiny universes where most bins
+  are empty and densification supplies nearly the whole signature; on
+  sparse nested sets the OPH estimate spreads at most 1.25x as widely as
+  the classic one.
 * **Packed canonicalization bit-stability** — the repr-free numeric
   encoding collapses ``-0.0``/``0.0``, every NaN payload, and int-valued
   floats onto single tokens, keeps bools distinct from ints, and the
   vectorized matrix builder matches the scalar reference byte for byte.
-* **Typed mismatch errors** — comparing/merging signatures across seeds
-  or schemes, or mixing sketch families inside one LSH index, raises
+* **Typed mismatch errors** — comparing/merging signatures across seeds,
+  or mixing seeds inside one LSH index, raises
   :class:`~repro.errors.InvalidRequestError` (width mismatches stay
   ``ValueError``) instead of returning garbage estimates.
-* **Persistence** — OPH serialization round-trips bit-identically
-  through the raw-bin payload, legacy tag-less payloads still load as
-  classic, and a durable store written under one scheme replays only
-  into a market of that scheme.
+* **Persistence** — serialization round-trips bit-identically through the
+  raw-bin payload, payloads of any other length are rejected, and a
+  durable store written under the two-scheme schema is refused.
 """
 
 from __future__ import annotations
 
-import sqlite3
 import struct
 
 import numpy as np
 import pytest
 
+from oracles.legacy import ClassicMinHash, downgrade_to_schema_2
 from oracles.profiling import scalar_profile_table
 from repro import DataMarket
 from repro.discovery.profiler import profile_table
@@ -38,9 +40,16 @@ from repro.relation.columnar import PACK_WIDTH, pack_value, unpack_value
 from repro.sketches import MinHash
 from repro.sketches.histograms import NumericSummary
 from repro.sketches.lsh import LSHIndex
-from repro.sketches.minhash import jaccard_exact
+from repro.sketches.minhash import _PRIME, _probe_keys, jaccard_exact
 
-from test_columnar_profiling import assert_profiles_identical, random_relation
+from test_columnar_profiling import (
+    assert_profiles_identical,
+    fresh,
+    random_relation,
+)
+
+#: the production sketch and the classic k-permutation oracle
+SKETCHES = {"classic": ClassicMinHash, "oph": MinHash}
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +71,9 @@ def test_oph_and_classic_track_exact_jaccard(overlap, seed):
     rng = np.random.default_rng(seed)
     a, b = _token_pair(rng, universe=600, overlap=overlap)
     exact = jaccard_exact(a, b)
-    for scheme in ("classic", "oph"):
-        sa = MinHash.of_tokens(a, num_perm=128, scheme=scheme)
-        sb = MinHash.of_tokens(b, num_perm=128, scheme=scheme)
+    for scheme, sketch in SKETCHES.items():
+        sa = sketch.of_tokens(a, num_perm=128)
+        sb = sketch.of_tokens(b, num_perm=128)
         est = sa.jaccard(sb)
         # num_perm=128 → std ≤ 0.045; 0.15 is > 3σ on a fixed seed grid
         assert abs(est - exact) < 0.15, (scheme, overlap, est, exact)
@@ -73,21 +82,22 @@ def test_oph_and_classic_track_exact_jaccard(overlap, seed):
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
 def test_tiny_universe_densification_dominates(size):
     """Sets far smaller than num_perm leave most bins empty: identical
-    sets must still estimate 1.0 (densified slots agree because donor and
-    distance agree) and disjoint sets must estimate near 0."""
+    sets must still estimate 1.0 (densified slots agree because the probe
+    sequences pick the same donors) and disjoint sets must estimate near
+    0."""
     tokens = {f"t{i}" for i in range(size)}
     others = {f"u{i}" for i in range(size)}
-    a = MinHash.of_tokens(tokens, num_perm=64, scheme="oph")
-    b = MinHash.of_tokens(set(tokens), num_perm=64, scheme="oph")
+    a = MinHash.of_tokens(tokens, num_perm=64)
+    b = MinHash.of_tokens(set(tokens), num_perm=64)
     assert a.jaccard(b) == 1.0
     assert a.digest() == b.digest()
-    c = MinHash.of_tokens(others, num_perm=64, scheme="oph")
+    c = MinHash.of_tokens(others, num_perm=64)
     assert a.jaccard(c) < 0.3
 
 
 def test_oph_empty_signature_semantics():
-    a = MinHash(num_perm=32, scheme="oph")
-    b = MinHash(num_perm=32, scheme="oph")
+    a = MinHash(num_perm=32)
+    b = MinHash(num_perm=32)
     assert a.jaccard(b) == 1.0  # both empty
     b.update_tokens({"x"})
     assert a.jaccard(b) == 0.0  # one empty
@@ -97,19 +107,17 @@ def test_oph_empty_signature_semantics():
 def test_merge_equals_union_signature(scheme):
     a_tokens = {f"a{i}" for i in range(40)} | {f"s{i}" for i in range(10)}
     b_tokens = {f"b{i}" for i in range(25)} | {f"s{i}" for i in range(10)}
-    a = MinHash.of_tokens(a_tokens, num_perm=64, scheme=scheme)
-    b = MinHash.of_tokens(b_tokens, num_perm=64, scheme=scheme)
-    union = MinHash.of_tokens(a_tokens | b_tokens, num_perm=64,
-                              scheme=scheme)
-    merged = a.merge(b)
-    assert merged.scheme == scheme
-    assert merged.digest() == union.digest()
+    sketch = SKETCHES[scheme]
+    a = sketch.of_tokens(a_tokens, num_perm=64)
+    b = sketch.of_tokens(b_tokens, num_perm=64)
+    union = sketch.of_tokens(a_tokens | b_tokens, num_perm=64)
+    assert a.merge(b).digest() == union.digest()
 
 
 def test_oph_fold_order_independent():
     tokens = [f"v{i}" for i in range(100)]
-    one_shot = MinHash.of_tokens(tokens, num_perm=64, scheme="oph")
-    incremental = MinHash(num_perm=64, scheme="oph")
+    one_shot = MinHash.of_tokens(tokens, num_perm=64)
+    incremental = MinHash(num_perm=64)
     for lo in range(0, 100, 7):
         incremental.update_tokens(tokens[lo:lo + 7])
     assert incremental.digest() == one_shot.digest()
@@ -117,9 +125,90 @@ def test_oph_fold_order_independent():
 
 def test_oph_seeds_decorrelate_signatures():
     tokens = {f"t{i}" for i in range(200)}
-    s7 = MinHash.of_tokens(tokens, num_perm=64, seed=7, scheme="oph")
-    s8 = MinHash.of_tokens(tokens, num_perm=64, seed=8, scheme="oph")
+    s7 = MinHash.of_tokens(tokens, num_perm=64, seed=7)
+    s8 = MinHash.of_tokens(tokens, num_perm=64, seed=8)
     assert s7.digest() != s8.digest()
+
+
+# ---------------------------------------------------------------------------
+# probe densification
+# ---------------------------------------------------------------------------
+
+def test_probe_sequences_are_fixed_permutations():
+    """Each bin's probe sequence orders every bin by a distinct key,
+    depends only on (num_perm, seed), and differs across bins and
+    seeds."""
+    keys = _probe_keys(64, 7)
+    assert keys.shape == (64, 64)
+    assert all(len(set(row)) == 64 for row in keys.tolist())
+    assert _probe_keys(64, 7) is keys  # built once per family
+    assert not keys.flags.writeable
+    orders = {tuple(np.argsort(row)) for row in keys}
+    assert len(orders) == 64
+    assert not np.array_equal(_probe_keys(64, 8), keys)
+
+
+@pytest.mark.parametrize("n_tokens", [1, 2, 5, 40])
+def test_empty_bins_copy_first_filled_bin_along_probe_sequence(n_tokens):
+    mh = MinHash.of_tokens({f"t{i}" for i in range(n_tokens)}, num_perm=64)
+    keys = _probe_keys(64, mh.seed)
+    filled = np.flatnonzero(mh._bins != _PRIME)
+    assert 0 < len(filled) <= n_tokens
+    for j in range(64):
+        if mh._bins[j] != _PRIME:
+            assert mh.signature[j] == mh._bins[j]
+        else:
+            donor = filled[np.argmin(keys[j, filled])]
+            assert mh.signature[j] == mh._bins[donor]
+
+
+def test_runs_of_empty_bins_draw_independent_donors():
+    """Rotation densification copied one donor into whole runs of empty
+    bins; probe sequences give neighbouring empty bins independent
+    donors, so a neighbour shares the donor only about once per filled
+    bin."""
+    mh = MinHash.of_tokens({f"t{i}" for i in range(4)}, num_perm=64)
+    empty = mh._bins == _PRIME
+    both = empty[1:] & empty[:-1]
+    same = (mh.signature[1:] == mh.signature[:-1]) & both
+    assert both.sum() > 40
+    assert same.sum() / both.sum() < 0.5
+
+
+# ---------------------------------------------------------------------------
+# sparse-set accuracy (key columns far smaller than num_perm)
+# ---------------------------------------------------------------------------
+
+def test_small_key_contained_in_larger_key_is_found():
+    """A 4-value key contained in a 20-value key (exact Jaccard 0.2, the
+    ``status.s_code`` ⊂ ``orders.s_code`` pair of the cost-planning
+    corpus) must clear the index's overlap bar; rotation densification
+    estimated 0.0625 here."""
+    status = Relation("status", [Column("s_code", "int")],
+                      [(i,) for i in range(4)])
+    orders = Relation("orders", [Column("s_code", "int")],
+                      [(i % 20,) for i in range(200)])
+    small = profile_table(status).column("s_code").signature
+    large = profile_table(orders).column("s_code").signature
+    assert small.jaccard(large) >= 0.15
+
+
+@pytest.mark.parametrize("small,large", [(4, 20), (10, 50)])
+def test_sparse_nested_sets_spread_no_wider_than_classic(small, large):
+    """Over 200 seeded nested pairs, the OPH estimate's standard deviation
+    stays within 1.25x of the classic k-permutation fold's (rotation
+    densification read about 1.7x at 4-vs-20 and 1.3x at 10-vs-50)."""
+    estimates = {scheme: [] for scheme in SKETCHES}
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        values = rng.choice(10 ** 9, size=large, replace=False).tolist()
+        for scheme, sketch in SKETCHES.items():
+            estimates[scheme].append(
+                sketch.of(values[:small]).jaccard(sketch.of(values))
+            )
+    sd = {scheme: float(np.std(e)) for scheme, e in estimates.items()}
+    assert sd["oph"] <= 1.25 * sd["classic"], sd
+    assert abs(np.mean(estimates["oph"]) - small / large) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -190,61 +279,44 @@ def test_packed_matrix_matches_scalar_reference(values):
 # typed mismatch errors
 # ---------------------------------------------------------------------------
 
-def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError, match="unknown MinHash scheme"):
-        MinHash(scheme="simhash")
-
-
-@pytest.mark.parametrize("op", ["jaccard", "merge"])
-def test_scheme_mismatch_raises_typed_error(op):
-    classic = MinHash.of_tokens({"a"}, num_perm=64, scheme="classic")
-    oph = MinHash.of_tokens({"a"}, num_perm=64, scheme="oph")
-    with pytest.raises(InvalidRequestError, match="different schemes"):
-        getattr(classic, op)(oph)
-
-
 @pytest.mark.parametrize("op", ["jaccard", "merge"])
 @pytest.mark.parametrize("scheme", ["classic", "oph"])
 def test_seed_mismatch_raises_typed_error(op, scheme):
-    a = MinHash.of_tokens({"a"}, num_perm=64, seed=1, scheme=scheme)
-    b = MinHash.of_tokens({"a"}, num_perm=64, seed=2, scheme=scheme)
+    sketch = SKETCHES[scheme]
+    a = sketch.of_tokens({"a"}, num_perm=64, seed=1)
+    b = sketch.of_tokens({"a"}, num_perm=64, seed=2)
     with pytest.raises(InvalidRequestError, match="different seeds"):
         getattr(a, op)(b)
 
 
 @pytest.mark.parametrize("op", ["jaccard", "merge"])
 def test_width_mismatch_stays_value_error(op):
-    a = MinHash.of_tokens({"a"}, num_perm=32, scheme="oph")
-    b = MinHash.of_tokens({"a"}, num_perm=64, scheme="oph")
+    a = MinHash.of_tokens({"a"}, num_perm=32)
+    b = MinHash.of_tokens({"a"}, num_perm=64)
     with pytest.raises(ValueError, match="different widths"):
         getattr(a, op)(b)
 
 
 def test_lsh_index_pins_sketch_family():
+    """The first signature pins the index's seed; signatures of another
+    seed can neither be added nor queried."""
     index = LSHIndex(num_perm=64, bands=16)
-    classic = MinHash.of_tokens({"a", "b"}, num_perm=64, scheme="classic")
-    oph = MinHash.of_tokens({"a", "b"}, num_perm=64, scheme="oph")
-    index.add("first", classic)
+    first = MinHash.of_tokens({"a", "b"}, num_perm=64)
+    reseeded = MinHash.of_tokens({"a", "b"}, num_perm=64, seed=99)
+    index.add("first", first)
     with pytest.raises(InvalidRequestError, match="mixed sketch families"):
-        index.add("second", oph)
+        index.add("second", reseeded)
     with pytest.raises(InvalidRequestError, match="mixed sketch families"):
-        index.candidates(oph)
-    reseeded = MinHash.of_tokens({"a"}, num_perm=64, seed=99,
-                                 scheme="classic")
-    with pytest.raises(InvalidRequestError, match="mixed sketch families"):
-        index.add("third", reseeded)
-    # same family still works
-    index.add("fourth", MinHash.of_tokens({"a"}, num_perm=64,
-                                          scheme="classic"))
-    assert "first" in index.candidates(classic)
+        index.candidates(reseeded)
+    # same seed still works
+    index.add("third", MinHash.of_tokens({"a"}, num_perm=64))
+    assert "first" in index.candidates(first)
 
 
 def test_lsh_index_accepts_oph_when_pinned_oph():
     index = LSHIndex(num_perm=64, bands=16)
-    a = MinHash.of_tokens({f"t{i}" for i in range(50)}, num_perm=64,
-                          scheme="oph")
-    b = MinHash.of_tokens({f"t{i}" for i in range(50)}, num_perm=64,
-                          scheme="oph")
+    a = MinHash.of_tokens({f"t{i}" for i in range(50)}, num_perm=64)
+    b = MinHash.of_tokens({f"t{i}" for i in range(50)}, num_perm=64)
     index.add("a", a)
     assert index.query(b)[0] == ("a", 1.0)
 
@@ -256,9 +328,9 @@ def test_lsh_index_accepts_oph_when_pinned_oph():
 @pytest.mark.parametrize("n_tokens", [0, 3, 200])
 def test_oph_round_trip_is_bit_identical(n_tokens):
     mh = MinHash.of_tokens({f"t{i}" for i in range(n_tokens)},
-                           num_perm=64, scheme="oph")
+                           num_perm=64)
     back = MinHash.from_bytes(mh.to_bytes())
-    assert back.scheme == "oph"
+    assert len(mh.to_bytes()) == MinHash._HEADER.size + 8 * 64
     assert back.count == mh.count
     assert back.digest() == mh.digest()
     assert np.array_equal(back._bins, mh._bins)
@@ -270,52 +342,31 @@ def test_oph_round_trip_is_bit_identical(n_tokens):
     assert back.digest() == mh.digest()
 
 
-def test_classic_round_trip_carries_scheme_tag():
-    mh = MinHash.of_tokens({"a", "b"}, num_perm=32, scheme="classic")
-    back = MinHash.from_bytes(mh.to_bytes())
-    assert back.scheme == "classic"
-    assert back.digest() == mh.digest()
-
-
-def test_legacy_tagless_payload_loads_as_classic():
-    mh = MinHash.of_tokens({"a", "b", "c"}, num_perm=32, scheme="classic")
-    header = MinHash._HEADER.pack(mh.num_perm, mh.seed, mh.count)
-    legacy = header + mh.signature.astype("<i8").tobytes()
-    back = MinHash.from_bytes(legacy)
-    assert back.scheme == "classic"
-    assert back.digest() == mh.digest()
-    assert back.count == mh.count
-
-
 def test_corrupt_payloads_rejected():
-    mh = MinHash.of_tokens({"a"}, num_perm=32, scheme="oph")
+    mh = MinHash.of_tokens({"a"}, num_perm=32)
     data = mh.to_bytes()
     with pytest.raises(ValueError, match="corrupt MinHash payload"):
         MinHash.from_bytes(data + b"\x00\x00")
-    bad_tag = data[: MinHash._HEADER.size] + b"\x07" + data[
-        MinHash._HEADER.size + 1:
+    with pytest.raises(ValueError, match="corrupt MinHash payload"):
+        MinHash.from_bytes(data[:-8])
+    # the two-scheme payload layout (one tag byte before the bins)
+    tagged = data[: MinHash._HEADER.size] + b"\x01" + data[
+        MinHash._HEADER.size:
     ]
-    with pytest.raises(ValueError, match="unknown MinHash scheme tag"):
-        MinHash.from_bytes(bad_tag)
+    with pytest.raises(ValueError, match="corrupt MinHash payload"):
+        MinHash.from_bytes(tagged)
 
 
 # ---------------------------------------------------------------------------
 # oph profiling: columnar == scalar oracle, edge relations included
 # ---------------------------------------------------------------------------
 
-def fresh(relation: Relation) -> Relation:
-    """An equal relation with its own columnar view: the oracle must not
-    read the OPH column hashes the columnar path memoized on the view."""
-    return Relation(relation.name, relation.schema, relation.rows)
-
-
 @pytest.mark.parametrize("seed", range(15))
 def test_oph_profile_bit_identical_to_scalar_oracle(seed):
     relation = random_relation(seed)
-    columnar = profile_table(relation, scheme="oph")
-    scalar = scalar_profile_table(fresh(relation), scheme="oph")
+    columnar = profile_table(relation)
+    scalar = scalar_profile_table(fresh(relation))
     assert_profiles_identical(columnar, scalar)
-    assert all(c.signature.scheme == "oph" for c in columnar.columns)
 
 
 class _StrSub(str):
@@ -359,8 +410,8 @@ EDGE_RELATIONS = [
     "relation", EDGE_RELATIONS, ids=lambda r: r.name
 )
 def test_oph_profile_identical_on_edge_relations(relation):
-    columnar = profile_table(relation, scheme="oph")
-    scalar = scalar_profile_table(fresh(relation), scheme="oph")
+    columnar = profile_table(relation)
+    scalar = scalar_profile_table(fresh(relation))
     assert_profiles_identical(columnar, scalar)
 
 
@@ -380,7 +431,7 @@ def test_numeric_summary_survives_nan_and_inf():
 
 
 # ---------------------------------------------------------------------------
-# durable store: scheme column, bit-identical replay, typed refusals
+# durable store: bit-identical replay, typed refusal of old stores
 # ---------------------------------------------------------------------------
 
 def _store_corpus():
@@ -399,23 +450,22 @@ def _store_corpus():
     ]
 
 
-def _seed_oph_store(tmp_path):
+def _seed_store(tmp_path):
     path = tmp_path / "market.db"
-    market = DataMarket(scheme="oph", store=str(path))
+    market = DataMarket(store=str(path))
     for rel in _store_corpus():
         market.register_dataset(rel, seller="acme")
     return path, market
 
 
 def test_oph_store_replays_bit_identically(tmp_path):
-    path, warm = _seed_oph_store(tmp_path)
-    cold = DataMarket(scheme="oph", store=str(path))
+    path, warm = _seed_store(tmp_path)
+    cold = DataMarket(store=str(path))
     for rel in _store_corpus():
         warm_profile = warm.metadata.snapshot(rel.name).profile
         cold_profile = cold.metadata.snapshot(rel.name).profile
         assert warm_profile.content_hash == cold_profile.content_hash
         for cw, cc in zip(warm_profile.columns, cold_profile.columns):
-            assert cw.signature.scheme == cc.signature.scheme == "oph"
             assert cw.signature.to_bytes() == cc.signature.to_bytes()
             assert warm.index.lsh_band_keys(cw.signature) == (
                 cold.index.lsh_band_keys(cc.signature)
@@ -423,42 +473,12 @@ def test_oph_store_replays_bit_identically(tmp_path):
 
 
 def test_store_refuses_cross_scheme_cold_start(tmp_path):
-    path, _warm = _seed_oph_store(tmp_path)
-    with pytest.raises(StoreError, match="scheme"):
-        DataMarket(scheme="classic", store=str(path))
-    # classic-written stores symmetrically refuse oph markets
-    classic_path = tmp_path / "classic.db"
-    classic = DataMarket(scheme="classic", store=str(classic_path))
-    classic.register_dataset(_store_corpus()[0], seller="acme")
+    """A schema-2 store holds signatures, band keys and join candidates
+    from the retired estimators: it is refused at open, not replayed
+    beside new signatures."""
+    path, _warm = _seed_store(tmp_path)
+    downgrade_to_schema_2(path)
+    with pytest.raises(StoreError, match="schema version 2"):
+        DataMarket(store=str(path))
     with pytest.raises(StoreError, match="re-register the corpus"):
-        DataMarket(scheme="oph", store=str(classic_path))
-
-
-def test_store_refuses_mixed_scheme_rows(tmp_path):
-    path, _warm = _seed_oph_store(tmp_path)
-    conn = sqlite3.connect(path)
-    try:
-        conn.execute(
-            "UPDATE column_profiles SET scheme = 'classic' "
-            "WHERE rowid IN (SELECT rowid FROM column_profiles LIMIT 1)"
-        )
-        conn.commit()
-    finally:
-        conn.close()
-    with pytest.raises(StoreError, match="mixed sketch schemes"):
-        DataMarket(scheme="oph", store=str(path))
-
-
-def test_store_scheme_column_round_trips(tmp_path):
-    path, _warm = _seed_oph_store(tmp_path)
-    conn = sqlite3.connect(path)
-    try:
-        schemes = {
-            row[0]
-            for row in conn.execute(
-                "SELECT DISTINCT scheme FROM column_profiles"
-            )
-        }
-    finally:
-        conn.close()
-    assert schemes == {"oph"}
+        DataMarket(store=str(path))
