@@ -1,10 +1,10 @@
-"""E28 — One-permutation MinHash ingest with probe densification (§5.1).
+"""E28 — One-permutation MinHash ingest (§5.1).
 
 The market profiles and sketches every arriving column before it is
 discoverable.  Production sketches with one-permutation hashing: each
 token is hashed exactly once, bucketed by high bits into ``num_perm``
-bins, per-bin minima are kept and empty bins copy the first filled bin
-along a fixed probe sequence — O(tokens) instead of the k-permutation
+bins, per-bin minima are kept and bins left empty are filled by later
+rounds of the same tokens — O(tokens) instead of the k-permutation
 fold's O(tokens x num_perm) — while numeric columns skip ``repr``
 entirely via struct-packed canonical bytes hashed straight from the
 buffer, and str columns hash their raw UTF-8.

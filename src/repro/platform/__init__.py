@@ -10,24 +10,23 @@ from .market import DataMarket
 from .service import MarketService, PinnedView, ServiceError, WriteTicket
 from .store import MarketStore, StoreError
 from .http import MarketGateway, RateLimiter, STATUS_BY_ERROR, status_for
-from .client import (
-    DeliveryView,
-    GatewayPlanResult,
-    MarketClient,
-    MashupView,
-    PinnedResult,
-    RoundSummary,
-)
+from .client import MarketClient
 from .results import (
+    DeliveryView,
     DisputeResult,
+    GatewayPlanResult,
     InfoRequestView,
     InsuranceQuote,
     InsuranceSettlement,
+    MashupView,
     NegotiationReport,
+    ParticipantResult,
+    PinnedResult,
     PlanResult,
     RegisterResult,
     RetireResult,
     RoundReport,
+    RoundSummary,
     SearchResult,
     TrustDistribution,
     TrustReport,
@@ -57,6 +56,7 @@ __all__ = [
     "SearchResult",
     "PlanResult",
     "WTPReceipt",
+    "ParticipantResult",
     "RoundReport",
     "NegotiationReport",
     "InfoRequestView",

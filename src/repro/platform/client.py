@@ -2,19 +2,19 @@
 
 :class:`MarketClient` mirrors the :class:`~repro.platform.DataMarket`
 façade over a real socket: the same operations, the same frozen result
-dataclasses (``RegisterResult``/``RetireResult``/``SearchResult``/
-``WTPReceipt`` are rebuilt bit-for-bit from the wire payload, so a client
-result compares equal to the in-process façade's), and the same typed
-error taxonomy — a 404 raises :class:`~repro.errors.DatasetNotFoundError`,
-a 429 raises :class:`~repro.errors.RateLimitError` with ``retry_after``
-filled from the response header, exactly as if the façade had been called
-in-process.
+dataclasses (a client result compares equal to the in-process façade's),
+and the same typed error taxonomy — a 404 raises
+:class:`~repro.errors.DatasetNotFoundError`, a 429 raises
+:class:`~repro.errors.RateLimitError` with ``retry_after`` filled from the
+response header, exactly as if the façade had been called in-process.
+Each method builds its request and decodes its answer from the
+operation's entry in :data:`repro.platform.http.OPERATIONS`.
 
 Plan and round results cannot carry live expression trees or ledger
-objects across the network, so they come back as gateway-specific frozen
-views (:class:`MashupView` / :class:`GatewayPlanResult` /
-:class:`RoundSummary`) holding the *materialized* relations the server
-collected from the lazy trees.
+objects across the network, so they come back as frozen views
+(:class:`~repro.platform.GatewayPlanResult` /
+:class:`~repro.platform.RoundSummary`) holding the *materialized* relations
+the server collected from the lazy trees.
 
 Only the stdlib is used (``http.client``); a connection is opened per
 request, which keeps the client trivially thread-safe.
@@ -23,19 +23,42 @@ request, which keeps the client trivially thread-safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from http.client import HTTPConnection
-from urllib.parse import quote, urlencode, urlsplit
+from urllib.parse import urlencode, urlsplit
 
 from .. import errors as _errors
-from ..discovery.search import AttributeMatch, DatasetHit
 from ..errors import MarketError, RateLimitError
-from ..relation import Column, Relation, Schema
+from ..relation import Relation
 from ..wtp import WTPFunction
-from .http import relation_to_payload, wtp_to_spec
-from .results import RegisterResult, RetireResult, SearchResult, WTPReceipt
+from .http import (
+    OPERATIONS,
+    encode_request,
+    from_wire,
+    relation_from_payload,
+    relation_to_payload,
+)
+from .results import (
+    GatewayPlanResult,
+    ParticipantResult,
+    PinnedResult,
+    RegisterResult,
+    RetireResult,
+    RoundSummary,
+    SearchResult,
+    WTPReceipt,
+)
 from .service import ServiceError
 from .store import StoreError
+
+__all__ = [
+    "GatewayResponseError",
+    "MarketClient",
+    "relation_from_wire",
+    "relation_to_payload",
+]
+
+#: the relation codec under its client-side names
+relation_from_wire = relation_from_payload
 
 #: error type name -> exception class, for rebuilding typed errors from
 #: structured error bodies (names outside the taxonomy raise MarketError)
@@ -50,100 +73,6 @@ _ERRORS_BY_NAME["StoreError"] = StoreError
 
 class GatewayResponseError(MarketError):
     """The gateway answered with something that is not gateway JSON."""
-
-
-@dataclass(frozen=True)
-class MashupView:
-    """One planned mashup as served over HTTP: the datasets the plan
-    reads, the attribute matches, and (when collected) the materialized
-    result relation."""
-
-    datasets: tuple[str, ...]
-    #: requested attribute -> (dataset, column, score)
-    matched: tuple[tuple[str, tuple[str, str, float]], ...]
-    missing: tuple[str, ...]
-    relation: Relation | None
-
-    @property
-    def rows(self) -> tuple:
-        if self.relation is None:
-            raise MarketError(
-                "this plan was requested with collect=False; "
-                "re-plan with collect=True for rows"
-            )
-        return self.relation.rows
-
-
-@dataclass(frozen=True)
-class GatewayPlanResult:
-    """Ranked mashups for an attribute set, as served over HTTP."""
-
-    attributes: tuple[str, ...]
-    key: str | None
-    mashups: tuple[MashupView, ...]
-    cached: bool
-    as_of: int
-
-    @property
-    def best(self) -> MashupView | None:
-        return self.mashups[0] if self.mashups else None
-
-    def __len__(self) -> int:
-        return len(self.mashups)
-
-
-@dataclass(frozen=True)
-class DeliveryView:
-    """One completed transaction from a cleared round."""
-
-    transaction_id: int
-    buyer: str
-    datasets: tuple[str, ...]
-    satisfaction: float
-    bid: float
-    price_paid: float
-    arbiter_fee: float
-    #: (dataset, share) pairs, sorted by dataset
-    seller_shares: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class RoundSummary:
-    """One cleared market round, as served over HTTP."""
-
-    round_index: int
-    deliveries: tuple[DeliveryView, ...]
-    #: (buyer, reason) pairs
-    rejections: tuple[tuple[str, str], ...]
-    #: (transaction_id, buyer, datasets) triples awaiting ex-post reports
-    expost_deliveries: tuple[tuple[int, str, tuple[str, ...]], ...]
-    as_of: int
-
-    @property
-    def revenue(self) -> float:
-        return sum(d.price_paid for d in self.deliveries)
-
-    @property
-    def transactions(self) -> int:
-        return len(self.deliveries)
-
-
-@dataclass(frozen=True)
-class PinnedResult:
-    """A search and/or plan answered against one pinned snapshot."""
-
-    as_of: int
-    search: SearchResult | None
-    plan: GatewayPlanResult | None
-
-
-def relation_from_wire(obj: dict) -> Relation:
-    """Rebuild a relation from the gateway's payload form."""
-    return Relation(
-        obj["name"],
-        Schema([Column(*parts) for parts in obj["columns"]]),
-        [tuple(row) for row in obj["rows"]],
-    )
 
 
 class MarketClient:
@@ -222,6 +151,12 @@ class MarketClient:
             return RateLimitError(message, retry_after=wait)
         return klass(message)
 
+    def _call(self, name: str, /, **args):
+        """Run the table operation ``name`` and decode its answer."""
+        op = OPERATIONS[name]
+        path, query, body = encode_request(op, args)
+        return from_wire(op.result, self._request(op.verb, path, body, query))
+
     # -- observability -----------------------------------------------------
     def healthz(self) -> dict:
         return self._request("GET", "/healthz")
@@ -230,33 +165,6 @@ class MarketClient:
         return self._request("GET", "/stats")
 
     # -- dataset lifecycle -------------------------------------------------
-    def _register_body(self, relation, reserve_price, license, policy):
-        body = {
-            "relation": relation_to_payload(relation),
-            "reserve_price": reserve_price,
-        }
-        if license is not None:
-            body["license"] = {
-                "kind": license.kind.value,
-                "exclusivity_tax_rate": license.exclusivity_tax_rate,
-                "max_licensees": license.max_licensees,
-            }
-        if policy is not None:
-            body["policy"] = sorted(policy.allowed_contexts)
-        return body
-
-    @staticmethod
-    def _register_result(data: dict) -> RegisterResult:
-        return RegisterResult(
-            dataset=data["dataset"],
-            seller=data["seller"],
-            version=data["version"],
-            rows=data["rows"],
-            reserve_price=data["reserve_price"],
-            created=data["created"],
-            as_of=data["as_of"],
-        )
-
     def register_dataset(
         self,
         relation: Relation,
@@ -266,11 +174,10 @@ class MarketClient:
         policy=None,
     ) -> RegisterResult:
         """Share a new dataset as the authenticated seller."""
-        data = self._request(
-            "POST", "/datasets",
-            self._register_body(relation, reserve_price, license, policy),
+        return self._call(
+            "register_dataset", relation=relation,
+            reserve_price=reserve_price, license=license, policy=policy,
         )
-        return self._register_result(data)
 
     def update_dataset(
         self,
@@ -281,21 +188,13 @@ class MarketClient:
         policy=None,
     ) -> RegisterResult:
         """Refresh a live dataset the authenticated seller owns."""
-        data = self._request(
-            "PUT", f"/datasets/{quote(relation.name, safe='')}",
-            self._register_body(relation, reserve_price, license, policy),
+        return self._call(
+            "update_dataset", relation=relation,
+            reserve_price=reserve_price, license=license, policy=policy,
         )
-        return self._register_result(data)
 
     def retire_dataset(self, dataset: str) -> RetireResult:
-        data = self._request(
-            "DELETE", f"/datasets/{quote(dataset, safe='')}"
-        )
-        return RetireResult(
-            dataset=data["dataset"],
-            seller=data["seller"],
-            as_of=data["as_of"],
-        )
+        return self._call("retire_dataset", dataset=dataset)
 
     def list_datasets(
         self,
@@ -303,68 +202,21 @@ class MarketClient:
         cursor: str | None = None,
         sort: str = "registered",
     ) -> tuple[list[dict], str | None]:
-        data = self._request(
-            "GET", "/datasets",
-            query={"limit": limit, "cursor": cursor, "sort": sort},
+        page = self._call(
+            "list_datasets", limit=limit, cursor=cursor, sort=sort
         )
-        return data["datasets"], data["next_cursor"]
+        return page["datasets"], page["next_cursor"]
 
     # -- reads -------------------------------------------------------------
-    @staticmethod
-    def _search_result(data: dict) -> SearchResult:
-        return SearchResult(
-            attributes=tuple(data["attributes"]),
-            hits=tuple(
-                DatasetHit(
-                    dataset=h["dataset"],
-                    score=h["score"],
-                    matches=tuple(
-                        AttributeMatch(*m) for m in h["matches"]
-                    ),
-                )
-                for h in data["hits"]
-            ),
-            as_of=data["as_of"],
-        )
-
     def search(
         self, attributes, *, min_score: float = 0.55
     ) -> SearchResult:
-        data = self._request("POST", "/search", {
-            "attributes": list(attributes),
-            "min_score": min_score,
-        })
-        return self._search_result(data)
+        return self._call(
+            "search", attributes=list(attributes), min_score=min_score
+        )
 
     def search_text(self, query: str, limit: int = 10) -> list[dict]:
-        data = self._request(
-            "GET", "/search", query={"q": query, "limit": limit}
-        )
-        return data["hits"]
-
-    @staticmethod
-    def _plan_result(data: dict) -> GatewayPlanResult:
-        return GatewayPlanResult(
-            attributes=tuple(data["attributes"]),
-            key=data["key"],
-            mashups=tuple(
-                MashupView(
-                    datasets=tuple(m["datasets"]),
-                    matched=tuple(
-                        (attr, (src[0], src[1], src[2]))
-                        for attr, src in sorted(m["matched"].items())
-                    ),
-                    missing=tuple(m["missing"]),
-                    relation=(
-                        relation_from_wire(m["relation"])
-                        if m["relation"] is not None else None
-                    ),
-                )
-                for m in data["mashups"]
-            ),
-            cached=data["cached"],
-            as_of=data["as_of"],
-        )
+        return self._call("search_text", query=query, limit=limit)["hits"]
 
     def plan(
         self,
@@ -375,14 +227,11 @@ class MarketClient:
         min_match_score: float = 0.55,
         collect: bool = True,
     ) -> GatewayPlanResult:
-        data = self._request("POST", "/plan", {
-            "attributes": list(attributes),
-            "key": key,
-            "max_results": max_results,
-            "min_match_score": min_match_score,
-            "collect": collect,
-        })
-        return self._plan_result(data)
+        return self._call(
+            "plan", attributes=list(attributes), key=key,
+            max_results=max_results, min_match_score=min_match_score,
+            collect=collect,
+        )
 
     def pinned_query(
         self,
@@ -393,68 +242,23 @@ class MarketClient:
         """Answer a search and/or plan spec against ONE pinned snapshot:
         both results are guaranteed to carry the same ``as_of`` even while
         writers churn."""
-        body: dict = {}
-        if search is not None:
-            body["search"] = search
-        if plan is not None:
-            body["plan"] = plan
-        data = self._request("POST", "/pinned", body)
-        return PinnedResult(
-            as_of=data["as_of"],
-            search=(
-                self._search_result(data["search"])
-                if "search" in data else None
-            ),
-            plan=(
-                self._plan_result(data["plan"]) if "plan" in data else None
-            ),
+        data = self._request(
+            "POST", "/pinned", {"search": search, "plan": plan}
         )
+        return from_wire(PinnedResult, data)
 
     # -- trading -----------------------------------------------------------
-    def register_participant(self, name: str, funding: float = 0.0) -> dict:
-        return self._request("POST", "/participants", {
-            "name": name, "funding": funding,
-        })
+    def register_participant(
+        self, name: str, funding: float = 0.0
+    ) -> ParticipantResult:
+        return self._call("register_participant", name=name, funding=funding)
 
     def submit_wtp(self, wtp: WTPFunction) -> WTPReceipt:
         """Queue a WTP for the next round.  The task must be one of the
         declarative pure-data kinds (``QueryCompletenessTask`` /
         ``ExplorationTask``); the gateway books it under the
         *authenticated* principal regardless of ``wtp.buyer``."""
-        data = self._request("POST", "/wtp", wtp_to_spec(wtp))
-        return WTPReceipt(
-            buyer=data["buyer"],
-            attributes=tuple(data["attributes"]),
-            elicitation=data["elicitation"],
-            queued=data["queued"],
-            as_of=data["as_of"],
-        )
+        return self._call("submit_wtp", wtp=wtp)
 
     def run_round(self, context: str = "*") -> RoundSummary:
-        data = self._request("POST", "/rounds", {"context": context})
-        return RoundSummary(
-            round_index=data["round_index"],
-            deliveries=tuple(
-                DeliveryView(
-                    transaction_id=d["transaction_id"],
-                    buyer=d["buyer"],
-                    datasets=tuple(d["datasets"]),
-                    satisfaction=d["satisfaction"],
-                    bid=d["bid"],
-                    price_paid=d["price_paid"],
-                    arbiter_fee=d["arbiter_fee"],
-                    seller_shares=tuple(
-                        sorted(d["seller_shares"].items())
-                    ),
-                )
-                for d in data["deliveries"]
-            ),
-            rejections=tuple(
-                (r["buyer"], r["reason"]) for r in data["rejections"]
-            ),
-            expost_deliveries=tuple(
-                (e["transaction_id"], e["buyer"], tuple(e["datasets"]))
-                for e in data["expost_deliveries"]
-            ),
-            as_of=data["as_of"],
-        )
+        return self._call("run_round", context=context)

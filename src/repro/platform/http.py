@@ -1,46 +1,58 @@
 """HTTP/JSON gateway: the network surface of the always-on market.
 
-PR 8 made the market durable and concurrent in-process; this module makes
-it *reachable*.  :class:`MarketGateway` serves a
-:class:`~repro.platform.MarketService` over plain HTTP — stdlib
-``http.server.ThreadingHTTPServer`` plus a small explicit router, no web
-framework — so every mutation still funnels through the service's single
-writer and every read stays snapshot-consistent.  The transport layer adds
-exactly the concerns a network edge owns and nothing else:
+:class:`MarketGateway` serves a :class:`~repro.platform.MarketService` over
+plain HTTP — stdlib ``http.server.ThreadingHTTPServer`` plus a small
+explicit router, no web framework — so every mutation still funnels
+through the service's single writer and every read stays
+snapshot-consistent.
+
+Each wire operation is declared once, as an :class:`Operation` in
+:data:`OPERATIONS`; the gateway serves every entry through one handler,
+:class:`~repro.platform.MarketClient` calls it from the same entry, and
+results cross the wire through one codec (:func:`to_wire` /
+:func:`from_wire`) over the frozen result dataclasses.  The transport
+layer adds exactly the concerns a network edge owns and nothing else:
 
 * **Auth.**  Bearer tokens map to principal names.  Mutating routes
   require one; the authenticated principal *is* the seller (or buyer) of
   record, so a token can never register datasets for, update datasets of,
   or retire datasets from another seller (401 for bad credentials, 403
   for ownership violations).
-* **Rate limiting.**  A per-token token bucket (unauthenticated clients
-  are keyed by address) returns 429 with a ``Retry-After`` header once the
-  budget is spent.
-* **Validation.**  Declarative per-route request schemas reject malformed
-  bodies as typed :class:`~repro.errors.InvalidRequestError` (422) before
-  any engine code runs.
+* **Rate limiting.**  A per-token token bucket (a request without a known
+  token is keyed by its address) returns 429 with a ``Retry-After``
+  header once the budget is spent.
+* **Validation.**  The declared fields reject malformed requests as typed
+  :class:`~repro.errors.InvalidRequestError` (422) before any engine code
+  runs.
 * **Error taxonomy.**  One mapping (:data:`STATUS_BY_ERROR`) from the
   :class:`~repro.errors.MarketError` hierarchy to HTTP statuses; every
   error response is a structured JSON body carrying the error type, the
   message, and the graph version (``as_of``) current when it was raised.
 
 All market semantics — duplicate detection, license continuity, plan
-caching, snapshot pinning — live below the service boundary; handlers only
-translate.  ``python -m repro.platform.http`` starts a standalone server
-wired from CLI flags (store path, auth tokens, rate limits).
+caching, snapshot pinning — live below the service boundary; the gateway
+only translates.  ``python -m repro.platform.http`` starts a standalone
+server wired from CLI flags (store path, auth tokens, rate limits).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
+import functools
 import json
 import math
+import operator
 import re
 import threading
 import time
+import typing
 from collections import Counter, deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, unquote, urlsplit
+from types import UnionType
+from typing import Callable, NamedTuple
+from urllib.parse import parse_qs, quote, unquote, urlsplit
 
 from ..errors import (
     AuditError,
@@ -68,7 +80,19 @@ from ..wtp import (
     QueryCompletenessTask,
     WTPFunction,
 )
-from .service import MarketService, ServiceError
+from .results import (
+    GatewayPlanResult,
+    ParticipantResult,
+    PinnedResult,
+    RegisterResult,
+    RetireResult,
+    RoundSummary,
+    SearchResult,
+    WTPReceipt,
+    plan_view,
+    round_view,
+)
+from .service import MarketService, ServiceError, WriteTicket
 from .store import MarketStore, StoreError
 
 #: the single MarketError-taxonomy -> HTTP status mapping.  Resolution
@@ -121,22 +145,27 @@ _MISSING = object()
 
 
 class Field:
-    """One validated request field: type, bounds, default."""
+    """One validated request field: type, item types, emptiness, default;
+    in an :class:`Operation`, also the codec its value crosses the wire
+    with and the argument it fills when that is not the field's own name.
+    A number field (``(int, float)``) yields a float."""
 
     def __init__(
         self,
         types,
         default=_MISSING,
         *,
-        minimum=None,
         item_types=None,
         non_empty: bool = False,
+        codec: "Codec | None" = None,
+        arg: str | None = None,
     ):
         self.types = types if isinstance(types, tuple) else (types,)
         self.default = default
-        self.minimum = minimum
         self.item_types = item_types
         self.non_empty = non_empty
+        self.codec = codec
+        self.arg = arg
 
     @property
     def required(self) -> bool:
@@ -158,10 +187,6 @@ class Field:
             raise InvalidRequestError(
                 f"field {name!r} must be {expected}, got {value!r}"
             )
-        if self.minimum is not None and value < self.minimum:
-            raise InvalidRequestError(
-                f"field {name!r} must be >= {self.minimum}, got {value!r}"
-            )
         if self.non_empty and len(value) == 0:
             raise InvalidRequestError(f"field {name!r} must be non-empty")
         if self.item_types is not None:
@@ -172,7 +197,25 @@ class Field:
                         f"{'/'.join(t.__name__ for t in self.item_types)}, "
                         f"got {item!r}"
                     )
-        return value
+        return float(value) if float in self.types else value
+
+    def from_query(self, name: str, query: dict):
+        """The field from a query string (where an int arrives as text)."""
+        raw = query.get(name)
+        if raw is None or (self.required and not raw.strip()):
+            if self.required:
+                raise InvalidRequestError(
+                    f"a non-empty ?{name}= parameter is required"
+                )
+            return self.default
+        if int not in self.types:
+            return raw
+        try:
+            return int(raw)
+        except ValueError:
+            raise InvalidRequestError(
+                f"query parameter {name!r} must be an integer, got {raw!r}"
+            ) from None
 
 
 def validate_body(body: dict, spec: dict[str, Field]) -> dict:
@@ -257,9 +300,7 @@ def relation_from_payload(obj: object) -> Relation:
             fields["name"], Schema(columns),
             [tuple(row) for row in fields["rows"]],
         )
-    except ReproError as exc:
-        raise InvalidRequestError(f"invalid relation payload: {exc}") from exc
-    except TypeError as exc:
+    except (ReproError, TypeError) as exc:
         raise InvalidRequestError(f"invalid relation payload: {exc}") from exc
 
 
@@ -283,7 +324,7 @@ def license_from_payload(obj: object) -> License | None:
         ) from None
     return License(
         kind=kind,
-        exclusivity_tax_rate=float(fields["exclusivity_tax_rate"]),
+        exclusivity_tax_rate=fields["exclusivity_tax_rate"],
         max_licensees=fields["max_licensees"],
     )
 
@@ -302,30 +343,18 @@ def policy_from_payload(obj: object) -> ContextualIntegrityPolicy | None:
 
 #: declarative task specs a WTP can be submitted with over the wire.
 #: Code cannot cross the network; these are the shipped tasks that are
-#: pure data.  kind -> (constructor, request spec)
-WTP_TASKS: dict[str, tuple] = {
-    "query_completeness": (
-        lambda f: QueryCompletenessTask(
-            wanted_keys=tuple(f["wanted_keys"]),
-            attributes=tuple(f["attributes"]),
-            key=f["key"],
-        ),
-        {
-            "kind": Field(str),
-            "wanted_keys": Field(list, non_empty=True),
-            "attributes": Field(
-                list, non_empty=True, item_types=(str,)
-            ),
-            "key": Field(str, default="entity_id"),
-        },
-    ),
-    "exploration": (
-        lambda f: ExplorationTask(attributes=tuple(f["attributes"])),
-        {
-            "kind": Field(str),
-            "attributes": Field(list, non_empty=True, item_types=(str,)),
-        },
-    ),
+#: pure data.  kind -> (task dataclass, request spec)
+WTP_TASKS: dict[str, tuple[type, dict]] = {
+    "query_completeness": (QueryCompletenessTask, {
+        "kind": Field(str),
+        "wanted_keys": Field(list, non_empty=True),
+        "attributes": Field(list, non_empty=True, item_types=(str,)),
+        "key": Field(str, default="entity_id"),
+    }),
+    "exploration": (ExplorationTask, {
+        "kind": Field(str),
+        "attributes": Field(list, non_empty=True, item_types=(str,)),
+    }),
 }
 
 
@@ -344,8 +373,12 @@ def wtp_from_spec(body: dict, buyer: str) -> WTPFunction:
             f"unknown task kind {kind!r}; "
             f"expected one of {sorted(WTP_TASKS)}"
         )
-    build, spec = WTP_TASKS[kind]
-    task = build(validate_body(task_body, spec))
+    task_class, spec = WTP_TASKS[kind]
+    task = task_class(**{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in validate_body(task_body, spec).items()
+        if name != "kind"
+    })
     steps = []
     for step in fields["curve"]:
         if len(step) != 2 or not all(
@@ -371,23 +404,18 @@ def wtp_to_spec(wtp: WTPFunction) -> dict:
     pure-data kinds (the client uses this so ``submit_wtp(wtp)`` mirrors
     the façade call).  Tasks carrying code cannot cross the network."""
     task = wtp.task
-    if isinstance(task, QueryCompletenessTask):
-        task_spec = {
-            "kind": "query_completeness",
-            "wanted_keys": list(task.wanted_keys),
-            "attributes": list(task.attributes),
-            "key": task.key,
-        }
-    elif isinstance(task, ExplorationTask):
-        task_spec = {
-            "kind": "exploration",
-            "attributes": list(task.attributes),
-        }
-    else:
+    kind = next((kind for kind, (task_class, _) in WTP_TASKS.items()
+                 if isinstance(task, task_class)), None)
+    if kind is None:
         raise InvalidRequestError(
             f"task {type(task).__name__} has no declarative HTTP form; "
             f"supported kinds: {sorted(WTP_TASKS)}"
         )
+    task_spec = {"kind": kind}
+    for name, field in WTP_TASKS[kind][1].items():
+        if name != "kind":
+            value = getattr(task, name)
+            task_spec[name] = list(value) if list in field.types else value
     spec = {
         "task": task_spec,
         "curve": [[t, p] for t, p in wtp.curve.steps],
@@ -399,105 +427,265 @@ def wtp_to_spec(wtp: WTPFunction) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# result serializers
+# the result codec (both sides)
 # ---------------------------------------------------------------------------
 
-def _search_payload(result) -> dict:
-    return {
-        "attributes": list(result.attributes),
-        "as_of": result.as_of,
-        "hits": [
-            {
-                "dataset": h.dataset,
-                "score": h.score,
-                "matches": [
-                    [m.requested, m.dataset, m.column, m.score]
-                    for m in h.matches
-                ],
-            }
-            for h in result.hits
-        ],
-    }
+@functools.cache
+def _fields(cls) -> dict | None:
+    """Field name -> type hint of a dataclass (None for anything else)."""
+    if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+        return None
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _plan_payload(result, relations) -> dict:
-    mashups = []
-    for mashup, relation in zip(result.mashups, relations):
-        entry = {
-            "datasets": mashup.plan.sources(),
-            "matched": {
-                attr: list(src) for attr, src in sorted(mashup.matched.items())
-            },
-            "missing": list(mashup.missing),
-            "relation": (
-                None if relation is None else relation_to_payload(relation)
-            ),
-        }
-        mashups.append(entry)
-    return {
-        "attributes": list(result.attributes),
-        "key": result.key,
-        "cached": result.cached,
-        "as_of": result.as_of,
-        "mashups": mashups,
-    }
+@functools.cache
+def _codec(hint) -> tuple[Callable | None, Callable | None]:
+    """``(encode, decode)`` for values of type ``hint``, worked out once per
+    type from its hints; None where the JSON value is the value.  A tuple
+    holds dataclasses (coded one by one) or plain data (JSON arrays, turned
+    back into tuples); in ``X | None``, ``X`` comes first."""
+    if hint is Relation:
+        # lambdas look the module functions up on each call, so a wrapper
+        # installed after import (the traced benchmark's ``http.codec``
+        # spans) sees every relation crossing the wire
+        return (lambda relation: relation_to_payload(relation),
+                lambda payload: relation_from_payload(payload))
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return operator.attrgetter("value"), hint
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and not _fields(args[0]):
+        return None, _untuple
+    if origin is tuple:
+        encode, decode = _codec(args[0])
+        return (lambda value: [encode(v) for v in value],
+                lambda data: tuple(map(decode, data)))
+    if origin in (UnionType, typing.Union):
+        encode, decode = _codec(args[0])
+        return _optional(encode), _optional(decode)
+    fields = _fields(hint)
+    if fields is None:
+        return None, None
+    codecs = [(name, *_codec(h)) for name, h in fields.items()]
+    return (
+        lambda value: {
+            name: getattr(value, name) if encode is None
+            else encode(getattr(value, name))
+            for name, encode, _ in codecs
+        },
+        lambda data: hint(*[
+            data[name] if decode is None else decode(data[name])
+            for name, _, decode in codecs
+        ]),
+    )
 
 
-def _round_payload(report) -> dict:
-    return {
-        "round_index": report.round_index,
-        "as_of": report.as_of,
-        "deliveries": [
-            {
-                "transaction_id": d.transaction_id,
-                "buyer": d.buyer,
-                "datasets": d.mashup.plan.sources(),
-                "satisfaction": d.satisfaction,
-                "bid": d.bid,
-                "price_paid": d.price_paid,
-                "arbiter_fee": d.split.arbiter_fee,
-                "seller_shares": dict(sorted(d.split.dataset_shares.items())),
-            }
-            for d in report.deliveries
-        ],
-        "rejections": [
-            {"buyer": r.buyer, "reason": r.reason}
-            for r in report.rejections
-        ],
-        "expost_deliveries": [
-            {
-                "transaction_id": d.transaction_id,
-                "buyer": d.buyer,
-                "datasets": d.mashup.plan.sources(),
-            }
-            for d in report.expost_deliveries
-        ],
-    }
+def _optional(code: Callable | None) -> Callable | None:
+    return code and (lambda value: None if value is None else code(value))
+
+
+def _untuple(data):
+    if isinstance(data, list):
+        return tuple(_untuple(v) for v in data)
+    return data
+
+
+def to_wire(value):
+    """``value`` as JSON-ready data: a dataclass becomes an object keyed by
+    its field names, a relation its payload, an enum its value.  Unlike
+    ``dataclasses.asdict`` it copies nothing it need not."""
+    encode = _codec(type(value))[0]
+    return value if encode is None else encode(value)
+
+
+def from_wire(hint, data):
+    """Rebuild a value of type ``hint`` from its :func:`to_wire` form."""
+    decode = _codec(hint)[1]
+    return data if decode is None else decode(data)
+
+
+# ---------------------------------------------------------------------------
+# the operation table
+# ---------------------------------------------------------------------------
+
+class Codec(NamedTuple):
+    """How a request argument crosses the wire: ``encode`` runs in the
+    client, ``decode`` (a typed 422 on bad input) at the gateway."""
+
+    encode: Callable
+    decode: Callable
+
+
+RELATION = Codec(*_codec(Relation))
+LICENSE = Codec(to_wire, license_from_payload)
+POLICY = Codec(lambda p: sorted(p.allowed_contexts), policy_from_payload)
+WTP = Codec(wtp_to_spec, wtp_from_spec)
+
+#: a ``{name}`` segment of an operation's path
+_PARAM = re.compile(r"\{([^}]+)\}")
+
+
+@dataclasses.dataclass(frozen=True)
+class Operation:
+    """One wire operation: the gateway routes, validates and dispatches a
+    request from its entry, and the client builds the request and decodes
+    the answer from the same entry."""
+
+    #: the MarketService method it calls and the MarketClient method that
+    #: calls it, and the key its requests count under in ``/stats``
+    name: str
+    verb: str
+    #: ``{arg}`` is a path parameter; ``{arg.attr}`` must equal that
+    #: attribute of the body's ``arg``
+    path: str
+    #: what the client decodes the answer into
+    result: type
+    #: request fields: the JSON body, or the query string of a GET/DELETE
+    fields: dict[str, Field] = dataclasses.field(default_factory=dict)
+    status: int = 200
+    #: a bearer token is required
+    auth: bool = False
+    #: the argument the authenticated principal fills: of the service
+    #: call, or of the body's decoder when ``body`` is set
+    principal: str | None = None
+    #: set when the whole body is this one field
+    body: str | None = None
+    #: ``(service result, request arguments) -> answer``
+    view: Callable | None = None
+    #: request fields only ``view`` reads, not passed to the service
+    view_args: tuple[str, ...] = ()
+    #: the MarketService method, when it is not ``name``
+    method: str | None = None
+
+    def call_args(self, args: dict) -> dict:
+        return {k: v for k, v in args.items() if k not in self.view_args}
+
+
+_DATASET_FIELDS = {
+    "relation": Field(dict, codec=RELATION),
+    "reserve_price": Field((int, float), default=0.0),
+    "license": Field(dict, default=None, codec=LICENSE),
+    "policy": Field(list, default=None, codec=POLICY),
+}
+
+_SEARCH_FIELDS = {
+    "attributes": Field(list, non_empty=True, item_types=(str,)),
+    "min_score": Field((int, float), default=0.55),
+}
+
+#: every operation on the wire, by name (``healthz``, ``stats`` and
+#: ``pinned`` are the gateway's own routes)
+OPERATIONS: dict[str, Operation] = {op.name: op for op in (
+    Operation("register_dataset", "POST", "/datasets", RegisterResult,
+              _DATASET_FIELDS, status=201, auth=True, principal="seller"),
+    Operation("update_dataset", "PUT", "/datasets/{relation.name}",
+              RegisterResult, _DATASET_FIELDS, auth=True,
+              principal="seller"),
+    Operation("retire_dataset", "DELETE", "/datasets/{dataset}",
+              RetireResult, auth=True, principal="seller",
+              method="_retire_as"),
+    Operation("list_datasets", "GET", "/datasets", dict, {
+        "limit": Field(int, default=50),
+        "cursor": Field(str, default=None),
+        "sort": Field(str, default="registered"),
+    }, view=lambda page, args: {
+        "datasets": page[0], "next_cursor": page[1], "sort": args["sort"],
+    }),
+    Operation("search_text", "GET", "/search", dict, {
+        "q": Field(str, arg="query"),
+        "limit": Field(int, default=10),
+    }, view=lambda hits, args: {"query": args["query"], "hits": hits}),
+    Operation("search", "POST", "/search", SearchResult, _SEARCH_FIELDS),
+    Operation("plan", "POST", "/plan", GatewayPlanResult, {
+        "attributes": Field(list, non_empty=True, item_types=(str,)),
+        "key": Field(str, default=None),
+        "max_results": Field(int, default=5),
+        "min_match_score": Field((int, float), default=0.55),
+        "collect": Field(bool, default=True),
+    }, view=lambda result, args: plan_view(result, args["collect"]),
+        view_args=("collect",)),
+    Operation("submit_wtp", "POST", "/wtp", WTPReceipt,
+              {"wtp": Field(dict, codec=WTP)}, status=202, auth=True,
+              principal="buyer", body="wtp"),
+    Operation("run_round", "POST", "/rounds", RoundSummary,
+              {"context": Field(str, default="*")}, auth=True,
+              view=lambda report, args: round_view(report)),
+    Operation("register_participant", "POST", "/participants",
+              ParticipantResult, {
+                  "name": Field(str, non_empty=True),
+                  "funding": Field((int, float), default=0.0),
+              }, status=201, auth=True),
+)}
+
+
+def encode_request(op: Operation, args: dict) -> tuple[str, dict, object]:
+    """``(path, query, body)`` of a request to ``op`` with the client's
+    ``args`` (the inverse of :func:`decode_request`)."""
+    def segment(match) -> str:
+        head, _, attr = match[1].partition(".")
+        value = getattr(args[head], attr) if attr else args[head]
+        return quote(str(value), safe="")
+
+    path = _PARAM.sub(segment, op.path)
+    if op.body is not None:
+        return path, {}, op.fields[op.body].codec.encode(args[op.body])
+    values = {}
+    for name, field in op.fields.items():
+        value = args[field.arg or name]
+        if value is not None and field.codec is not None:
+            value = field.codec.encode(value)
+        values[name] = value
+    if op.verb in ("GET", "DELETE"):
+        return path, values, None
+    return path, {}, values
+
+
+def decode_request(
+    op: Operation, params: dict, query: dict, body: dict, principal
+) -> dict:
+    """The arguments of one request to ``op``: path parameters, then the
+    validated and decoded fields, then the principal."""
+    args = {}
+    for expr, value in params.items():
+        head, _, attr = expr.partition(".")
+        if not attr:
+            args[head] = value
+            continue
+        claimed = body.get(head)
+        if isinstance(claimed, dict) and claimed.get(attr) != value:
+            raise InvalidRequestError(
+                f"path dataset {value!r} does not match payload "
+                f"{head} {claimed.get(attr)!r}"
+            )
+    if op.body is not None:
+        decode = op.fields[op.body].codec.decode
+        return {op.body: decode(body, **{op.principal: principal})}
+    if op.verb in ("GET", "DELETE"):
+        fields = {n: f.from_query(n, query) for n, f in op.fields.items()}
+    else:
+        fields = validate_body(body, op.fields)
+    for name, field in op.fields.items():
+        value = fields[name]
+        if value is not None and field.codec is not None:
+            value = field.codec.decode(value)
+        args[field.arg or name] = value
+    if op.principal is not None:
+        args[op.principal] = principal
+    return args
 
 
 # ---------------------------------------------------------------------------
 # the gateway
 # ---------------------------------------------------------------------------
 
-_PLAN_SPEC = {
-    "attributes": Field(list, non_empty=True, item_types=(str,)),
-    "key": Field(str, default=None),
-    "max_results": Field(int, default=5),
-    "min_match_score": Field((int, float), default=0.55),
-    "collect": Field(bool, default=True),
-}
-
-_SEARCH_SPEC = {
-    "attributes": Field(list, non_empty=True, item_types=(str,)),
-    "min_score": Field((int, float), default=0.55),
-}
-
-_DATASET_SPEC = {
-    "relation": Field(dict),
-    "reserve_price": Field((int, float), default=0.0),
-    "license": Field(dict, default=None),
-    "policy": Field(list, default=None),
-}
+class _Route(NamedTuple):
+    verb: str
+    pattern: re.Pattern
+    params: list[str]
+    #: the key its requests count under in ``/stats``
+    name: str
+    auth: bool
+    handler: Callable
 
 
 class _GatewayServer(ThreadingHTTPServer):
@@ -538,22 +726,18 @@ class MarketGateway:
         self._errors: Counter = Counter()
         self._latencies: deque = deque(maxlen=4096)
         self._routes = [
-            ("GET", re.compile(r"^/healthz$"), False, self._h_healthz),
-            ("GET", re.compile(r"^/stats$"), False, self._h_stats),
-            ("GET", re.compile(r"^/datasets$"), False, self._h_list),
-            ("POST", re.compile(r"^/datasets$"), True, self._h_register),
-            ("PUT", re.compile(r"^/datasets/(?P<name>[^/]+)$"), True,
-             self._h_update),
-            ("DELETE", re.compile(r"^/datasets/(?P<name>[^/]+)$"), True,
-             self._h_retire),
-            ("GET", re.compile(r"^/search$"), False, self._h_search_text),
-            ("POST", re.compile(r"^/search$"), False, self._h_search),
-            ("POST", re.compile(r"^/plan$"), False, self._h_plan),
-            ("POST", re.compile(r"^/pinned$"), False, self._h_pinned),
-            ("POST", re.compile(r"^/wtp$"), True, self._h_wtp),
-            ("POST", re.compile(r"^/rounds$"), True, self._h_round),
-            ("POST", re.compile(r"^/participants$"), True,
-             self._h_participant),
+            _Route("GET", re.compile(r"^/healthz$"), [], "healthz", False,
+                   self._h_healthz),
+            _Route("GET", re.compile(r"^/stats$"), [], "stats", False,
+                   self._h_stats),
+            _Route("POST", re.compile(r"^/pinned$"), [], "pinned", False,
+                   self._h_pinned),
+        ] + [
+            _Route(op.verb,
+                   re.compile("^" + _PARAM.sub("([^/]+)", op.path) + "$"),
+                   _PARAM.findall(op.path), op.name, op.auth,
+                   functools.partial(self._serve, op))
+            for op in OPERATIONS.values()
         ]
 
     # -- lifecycle ---------------------------------------------------------
@@ -617,43 +801,34 @@ class MarketGateway:
         reading its body; it is answered like any other error."""
         start = time.perf_counter()
         parts = urlsplit(target)
-        path = unquote(parts.path)
-        route_key = f"{method} {parts.path}"
+        # requests no route took share one key, so /stats stays bounded
+        route_name = "unmatched"
         extra_headers: dict[str, str] = {}
         try:
             if refused is not None:
                 raise refused
-            match, needs_auth, handler = self._match(method, path)
-            route_key = f"{method} {match.re.pattern}"
+            route, params = self._match(method, parts.path)
+            route_name = route.name
             token = self._bearer_token(headers)
             if self.limiter is not None:
-                self.limiter.check(token if token else f"addr:{client}")
+                # a made-up token gets no bucket of its own
+                self.limiter.check(
+                    token if token in self.tokens else f"addr:{client}"
+                )
             principal = None
-            if needs_auth:
+            if route.auth:
                 principal = self._authenticate(token)
             query = {
                 k: v[-1] for k, v in parse_qs(parts.query).items()
             }
             payload = self._parse_body(body)
-            status, result = handler(
-                principal, match.groupdict(), query, payload
-            )
-        except MarketError as exc:
+            status, result = route.handler(principal, params, query, payload)
+        except Exception as exc:  # status_for: 500 off the taxonomy
             status = status_for(type(exc))
-            retry_after = getattr(exc, "retry_after", None)
-            if retry_after is not None:
+            if isinstance(exc, RateLimitError):
                 extra_headers["Retry-After"] = str(
-                    max(1, math.ceil(retry_after))
+                    max(1, math.ceil(exc.retry_after))
                 )
-            result = {
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                },
-                "as_of": self.service.market.graph_version,
-            }
-        except Exception as exc:  # off-taxonomy bug: opaque 500, not a hang
-            status = 500
             result = {
                 "error": {
                     "type": type(exc).__name__,
@@ -664,27 +839,31 @@ class MarketGateway:
         finally:
             elapsed = (time.perf_counter() - start) * 1000.0
             with self._stats_lock:
-                self._requests[route_key] += 1
+                self._requests[route_name] += 1
                 self._latencies.append(elapsed)
         if status >= 400:
             with self._stats_lock:
                 self._errors[status] += 1
         return status, result, extra_headers
 
-    def _match(self, method: str, path: str):
+    def _match(self, method: str, path: str) -> tuple[_Route, dict]:
+        """The route for ``method`` on the raw (still percent-encoded)
+        ``path``, and its decoded path parameters: matching before
+        decoding lets a parameter hold an encoded ``/``."""
         path_exists = False
-        for route_method, pattern, needs_auth, handler in self._routes:
-            match = pattern.match(path)
+        for route in self._routes:
+            match = route.pattern.match(path)
             if match is None:
                 continue
             path_exists = True
-            if route_method == method:
-                return match, needs_auth, handler
+            if route.verb == method:
+                values = map(unquote, match.groups())
+                return route, dict(zip(route.params, values))
         if path_exists:
             raise InvalidRequestError(
-                f"method {method} not supported on {path}"
+                f"method {method} not supported on {unquote(path)}"
             )
-        raise DatasetNotFoundError(f"no route for {method} {path}")
+        raise DatasetNotFoundError(f"no route for {method} {unquote(path)}")
 
     @staticmethod
     def _bearer_token(headers) -> str | None:
@@ -721,6 +900,20 @@ class MarketGateway:
         return parsed
 
     # -- handlers ----------------------------------------------------------
+    def _serve(self, op: Operation, principal, params, query, body):
+        """Answer a request to a table operation.  The service decides
+        what is a write: a returned ticket is waited on, so the answer
+        carries the write's outcome."""
+        args = decode_request(op, params, query, body, principal)
+        call = getattr(self.service, op.method or op.name)
+        result = call(**op.call_args(args))
+        if isinstance(result, WriteTicket):
+            result = result.result(WRITE_TIMEOUT)
+        answer = to_wire(result if op.view is None else op.view(result, args))
+        if "as_of" not in answer:  # plain JSON: stamp the version read at
+            answer["as_of"] = self.service.market.graph_version
+        return op.status, answer
+
     def _h_healthz(self, principal, params, query, body):
         return 200, {
             "status": "ok",
@@ -749,124 +942,6 @@ class MarketGateway:
             "latency_ms": {"p50": pct(0.50), "p99": pct(0.99)},
         }
 
-    def _h_list(self, principal, params, query, body):
-        limit = _int_query(query, "limit", 50)
-        sort = query.get("sort", "registered")
-        page, cursor = self.service.list_datasets(
-            limit=limit, cursor=query.get("cursor"), sort=sort,
-        )
-        return 200, {
-            "datasets": page,
-            "next_cursor": cursor,
-            "sort": sort,
-            "as_of": self.service.market.graph_version,
-        }
-
-    def _h_register(self, principal, params, query, body):
-        return self._accept(principal, body, create=True)
-
-    def _h_update(self, principal, params, query, body):
-        relation = body.get("relation")
-        if isinstance(relation, dict) and relation.get("name") != params["name"]:
-            raise InvalidRequestError(
-                f"path dataset {params['name']!r} does not match payload "
-                f"relation {relation.get('name')!r}"
-            )
-        return self._accept(principal, body, create=False)
-
-    def _accept(self, principal, body, create: bool):
-        fields = validate_body(body, _DATASET_SPEC)
-        relation = relation_from_payload(fields["relation"])
-        kwargs = {
-            "reserve_price": float(fields["reserve_price"]),
-            "license": license_from_payload(fields["license"]),
-            "policy": policy_from_payload(fields["policy"]),
-        }
-        if create:
-            ticket = self.service.register_dataset(
-                relation, principal, **kwargs
-            )
-        else:
-            ticket = self.service.update_dataset(
-                relation, principal, **kwargs
-            )
-        result = ticket.result(WRITE_TIMEOUT)
-        return 201 if create else 200, {
-            "dataset": result.dataset,
-            "seller": result.seller,
-            "version": result.version,
-            "rows": result.rows,
-            "reserve_price": result.reserve_price,
-            "created": result.created,
-            "as_of": result.as_of,
-        }
-
-    def _h_retire(self, principal, params, query, body):
-        name = params["name"]
-        market = self.service.market
-
-        def retire():
-            # ownership check inside the writer's critical section, so it
-            # cannot race a concurrent transfer of the name
-            if name in market.arbiter.licenses:
-                owner = market.arbiter.licenses.owner_of(name)
-                if owner != principal:
-                    raise DatasetOwnershipError(
-                        f"dataset {name!r} belongs to {owner!r}, "
-                        f"not {principal!r}"
-                    )
-            return market.retire_dataset(name)
-
-        result = self.service.submit(
-            retire, label=f"retire:{name}"
-        ).result(WRITE_TIMEOUT)
-        return 200, {
-            "dataset": result.dataset,
-            "seller": result.seller,
-            "as_of": result.as_of,
-        }
-
-    def _h_search_text(self, principal, params, query, body):
-        q = query.get("q", "")
-        if not q.strip():
-            raise InvalidRequestError(
-                "text search requires a non-empty ?q= parameter"
-            )
-        hits = self.service.search_text(q, limit=_int_query(query, "limit", 10))
-        return 200, {
-            "query": q,
-            "hits": hits,
-            "as_of": self.service.market.graph_version,
-        }
-
-    def _h_search(self, principal, params, query, body):
-        fields = validate_body(body, _SEARCH_SPEC)
-        result = self.service.search(
-            fields["attributes"], min_score=float(fields["min_score"])
-        )
-        return 200, _search_payload(result)
-
-    def _plan_from_spec(self, fields, view=None):
-        plan = (view or self.service).plan(
-            fields["attributes"],
-            key=fields["key"],
-            max_results=fields["max_results"],
-            min_match_score=float(fields["min_match_score"]),
-        )
-        return plan
-
-    def _h_plan(self, principal, params, query, body):
-        fields = validate_body(body, _PLAN_SPEC)
-        if fields["max_results"] < 1:
-            raise InvalidRequestError("max_results must be >= 1")
-        result = self._plan_from_spec(fields)
-        # collection happens outside the read lock: trees are immutable
-        relations = (
-            result.collect() if fields["collect"]
-            else [None] * len(result.mashups)
-        )
-        return 200, _plan_payload(result, relations)
-
     def _h_pinned(self, principal, params, query, body):
         fields = validate_body(body, {
             "search": Field(dict, default=None),
@@ -876,78 +951,21 @@ class MarketGateway:
             raise InvalidRequestError(
                 "pinned query needs a 'search' and/or 'plan' spec"
             )
-        search_fields = (
-            validate_body(fields["search"], _SEARCH_SPEC)
-            if fields["search"] is not None else None
-        )
-        plan_fields = (
-            validate_body(fields["plan"], _PLAN_SPEC)
-            if fields["plan"] is not None else None
-        )
-        search_result = plan_result = None
+        # each spec is a table operation's body, validated before the pin
+        args = {
+            name: decode_request(OPERATIONS[name], {}, {}, spec, None)
+            for name, spec in fields.items() if spec is not None
+        }
+        answers = dict.fromkeys(fields)
         with self.service.pinned() as view:
-            as_of = view.as_of
-            if search_fields is not None:
-                search_result = view.search(
-                    search_fields["attributes"],
-                    min_score=float(search_fields["min_score"]),
-                )
-            if plan_fields is not None:
-                plan_result = self._plan_from_spec(plan_fields, view)
-        out: dict = {"as_of": as_of}
-        if search_result is not None:
-            out["search"] = _search_payload(search_result)
-        if plan_result is not None:
-            relations = (
-                plan_result.collect() if plan_fields["collect"]
-                else [None] * len(plan_result.mashups)
+            for name, request in args.items():
+                call = OPERATIONS[name].call_args(request)
+                answers[name] = getattr(view, name)(**call)
+        if "plan" in args:
+            answers["plan"] = OPERATIONS["plan"].view(
+                answers["plan"], args["plan"]
             )
-            out["plan"] = _plan_payload(plan_result, relations)
-        return 200, out
-
-    def _h_wtp(self, principal, params, query, body):
-        wtp = wtp_from_spec(body, buyer=principal)
-        receipt = self.service.submit_wtp(wtp).result(WRITE_TIMEOUT)
-        return 202, {
-            "buyer": receipt.buyer,
-            "attributes": list(receipt.attributes),
-            "elicitation": receipt.elicitation,
-            "queued": receipt.queued,
-            "as_of": receipt.as_of,
-        }
-
-    def _h_round(self, principal, params, query, body):
-        fields = validate_body(body, {"context": Field(str, default="*")})
-        report = self.service.run_round(fields["context"]).result(
-            WRITE_TIMEOUT
-        )
-        return 200, _round_payload(report)
-
-    def _h_participant(self, principal, params, query, body):
-        fields = validate_body(body, {
-            "name": Field(str, non_empty=True),
-            "funding": Field((int, float), default=0.0),
-        })
-        self.service.register_participant(
-            fields["name"], funding=float(fields["funding"])
-        ).result(WRITE_TIMEOUT)
-        return 201, {
-            "participant": fields["name"],
-            "funding": float(fields["funding"]),
-            "as_of": self.service.market.graph_version,
-        }
-
-
-def _int_query(query: dict, name: str, default: int) -> int:
-    raw = query.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidRequestError(
-            f"query parameter {name!r} must be an integer, got {raw!r}"
-        ) from None
+        return 200, to_wire(PinnedResult(as_of=view.as_of, **answers))
 
 
 def _make_handler() -> type[BaseHTTPRequestHandler]:
@@ -955,7 +973,7 @@ def _make_handler() -> type[BaseHTTPRequestHandler]:
         protocol_version = "HTTP/1.1"
         server: _GatewayServer
 
-        def _dispatch(self, method: str) -> None:
+        def _dispatch(self) -> None:
             body, refused = b"", None
             try:
                 body = self._read_body()
@@ -963,7 +981,7 @@ def _make_handler() -> type[BaseHTTPRequestHandler]:
                 # the body was left unread, so the stream is out of step
                 refused, self.close_connection = exc, True
             status, payload, extra = self.server.gateway.handle(
-                method, self.path, self.headers, body,
+                self.command, self.path, self.headers, body,
                 client=self.client_address[0], refused=refused,
             )
             if refused is not None:
@@ -997,17 +1015,8 @@ def _make_handler() -> type[BaseHTTPRequestHandler]:
             length = int(digits)
             return self.rfile.read(length) if length else b""
 
-        def do_GET(self):  # noqa: N802  (BaseHTTPRequestHandler contract)
-            self._dispatch("GET")
-
-        def do_POST(self):  # noqa: N802
-            self._dispatch("POST")
-
-        def do_PUT(self):  # noqa: N802
-            self._dispatch("PUT")
-
-        def do_DELETE(self):  # noqa: N802
-            self._dispatch("DELETE")
+        # BaseHTTPRequestHandler calls do_<VERB>; the verb is self.command
+        do_GET = do_POST = do_PUT = do_DELETE = _dispatch
 
         def log_message(self, format, *args):  # quiet by default
             pass

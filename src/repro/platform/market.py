@@ -24,13 +24,13 @@ version it was computed against (``as_of``).  Errors on this surface are
 structured
 :class:`~repro.errors.MarketError` subclasses, never bare ``ValueError``.
 
-Every column is profiled under one sketch (one-permutation MinHash with
-probe densification, see :mod:`repro.sketches.minhash`), so all
-signatures a market holds are mutually comparable.  A durable store
-written under an older schema version — including schema 2, whose
-signatures, LSH band keys and join candidates came from other estimators
-— is refused at open with a typed ``StoreError``; re-registering the
-corpus is the migration.
+Every column is profiled under one sketch (one-permutation MinHash in
+rounds, see :mod:`repro.sketches.minhash`), so all signatures a market
+holds are mutually comparable.  A durable store written under an older
+schema version — schema 3, whose signatures were densified on load, or
+schema 2, whose signatures, LSH band keys and join candidates came from
+other estimators — is refused at open with a typed ``StoreError``;
+re-registering the corpus is the migration.
 
 The engine classes remain importable (they are the internal layer); the
 façade is the supported wiring::
@@ -73,6 +73,7 @@ from .results import (
     InsuranceQuote,
     InsuranceSettlement,
     NegotiationReport,
+    ParticipantResult,
     PlanResult,
     RegisterResult,
     RetireResult,
@@ -242,9 +243,14 @@ class DataMarket:
         return self.arbiter.builder.dod.cache_stats
 
     # -- participants ------------------------------------------------------
-    def register_participant(self, name: str, funding: float = 0.0) -> None:
+    def register_participant(
+        self, name: str, funding: float = 0.0
+    ) -> ParticipantResult:
         """Open a ledger account for a buyer or seller."""
         self.arbiter.register_participant(name, funding=funding)
+        return ParticipantResult(
+            participant=name, funding=funding, as_of=self.graph_version
+        )
 
     def attach_buyer_platform(self, platform) -> None:
         """Deliveries will be pushed to ``platform.receive``."""

@@ -8,6 +8,12 @@ equal ``as_of`` were derived from identical discovery state; monotonically
 non-decreasing ``as_of`` values across a caller's reads are the first step
 toward snapshot-isolated readers.  Mutation results carry the version that
 became current *after* the mutation committed.
+
+Plan and round results hold live expression trees and ledger objects, which
+cannot cross a network; :func:`plan_view` and :func:`round_view` turn them
+into the frozen views (:class:`GatewayPlanResult`, :class:`RoundSummary`)
+that the HTTP gateway serves and :class:`~repro.platform.MarketClient`
+returns.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..discovery.search import DatasetHit
+from ..errors import MarketError
 from ..integration.plan import Mashup, MashupPlan
 from ..market.arbiter import Delivery, ExPostDelivery, Rejection
 from ..relation import Relation, RelationExpr
@@ -116,6 +123,15 @@ class WTPReceipt:
     elicitation: str
     #: WTPs pending for the next round, this one included
     queued: int
+    as_of: int
+
+
+@dataclass(frozen=True)
+class ParticipantResult:
+    """Outcome of ``register_participant``: a funded ledger account."""
+
+    participant: str
+    funding: float
     as_of: int
 
 
@@ -249,3 +265,138 @@ class RoundReport:
     @property
     def transactions(self) -> int:
         return len(self.deliveries)
+
+
+# ---------------------------------------------------------------------------
+# views served over HTTP
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MashupView:
+    """One planned mashup as served over HTTP: the datasets the plan
+    reads, the attribute matches, and (when collected) the materialized
+    result relation."""
+
+    datasets: tuple[str, ...]
+    #: requested attribute -> (dataset, column, score)
+    matched: tuple[tuple[str, tuple[str, str, float]], ...]
+    missing: tuple[str, ...]
+    relation: Relation | None
+
+    @property
+    def rows(self) -> tuple:
+        if self.relation is None:
+            raise MarketError(
+                "this plan was requested with collect=False; "
+                "re-plan with collect=True for rows"
+            )
+        return self.relation.rows
+
+
+@dataclass(frozen=True)
+class GatewayPlanResult:
+    """Ranked mashups for an attribute set, as served over HTTP."""
+
+    attributes: tuple[str, ...]
+    key: str | None
+    mashups: tuple[MashupView, ...]
+    cached: bool
+    as_of: int
+
+    @property
+    def best(self) -> MashupView | None:
+        return self.mashups[0] if self.mashups else None
+
+    def __len__(self) -> int:
+        return len(self.mashups)
+
+
+@dataclass(frozen=True)
+class DeliveryView:
+    """One completed transaction from a cleared round."""
+
+    transaction_id: int
+    buyer: str
+    datasets: tuple[str, ...]
+    satisfaction: float
+    bid: float
+    price_paid: float
+    arbiter_fee: float
+    #: (dataset, share) pairs, sorted by dataset
+    seller_shares: tuple[tuple[str, float], ...]
+
+
+@dataclass(frozen=True)
+class RoundSummary:
+    """One cleared market round, as served over HTTP."""
+
+    round_index: int
+    deliveries: tuple[DeliveryView, ...]
+    #: (buyer, reason) pairs
+    rejections: tuple[tuple[str, str], ...]
+    #: (transaction_id, buyer, datasets) triples awaiting ex-post reports
+    expost_deliveries: tuple[tuple[int, str, tuple[str, ...]], ...]
+    as_of: int
+
+    @property
+    def revenue(self) -> float:
+        return sum(d.price_paid for d in self.deliveries)
+
+    @property
+    def transactions(self) -> int:
+        return len(self.deliveries)
+
+
+@dataclass(frozen=True)
+class PinnedResult:
+    """A search and/or plan answered against one pinned snapshot."""
+
+    as_of: int
+    search: SearchResult | None
+    plan: GatewayPlanResult | None
+
+
+def plan_view(result: PlanResult, collect: bool) -> GatewayPlanResult:
+    """``result`` with its trees collected (or not, ``collect=False``).
+    Collection needs no lock: the trees are immutable."""
+    return GatewayPlanResult(
+        attributes=result.attributes,
+        key=result.key,
+        mashups=tuple(
+            MashupView(
+                datasets=tuple(m.plan.sources()),
+                matched=tuple(sorted(m.matched.items())),
+                missing=tuple(m.missing),
+                relation=m.collect() if collect else None,
+            )
+            for m in result.mashups
+        ),
+        cached=result.cached,
+        as_of=result.as_of,
+    )
+
+
+def round_view(report: RoundReport) -> RoundSummary:
+    """``report`` with its deliveries reduced to names and amounts."""
+    return RoundSummary(
+        round_index=report.round_index,
+        deliveries=tuple(
+            DeliveryView(
+                transaction_id=d.transaction_id,
+                buyer=d.buyer,
+                datasets=tuple(d.mashup.plan.sources()),
+                satisfaction=d.satisfaction,
+                bid=d.bid,
+                price_paid=d.price_paid,
+                arbiter_fee=d.split.arbiter_fee,
+                seller_shares=tuple(sorted(d.split.dataset_shares.items())),
+            )
+            for d in report.deliveries
+        ),
+        rejections=tuple((r.buyer, r.reason) for r in report.rejections),
+        expost_deliveries=tuple(
+            (d.transaction_id, d.buyer, tuple(d.mashup.plan.sources()))
+            for d in report.expost_deliveries
+        ),
+        as_of=report.as_of,
+    )

@@ -36,7 +36,7 @@ import threading
 from contextlib import contextmanager
 from typing import Callable
 
-from ..errors import MarketError
+from ..errors import DatasetOwnershipError, MarketError
 from ..market.licensing import ContextualIntegrityPolicy, License
 from ..relation import Relation
 
@@ -134,7 +134,8 @@ class PinnedView:
         self._market = market
         self.as_of = as_of
 
-    def _check(self, result):
+    def _read(self, method, *args, **kwargs):
+        result = method(*args, **kwargs)
         if result.as_of != self.as_of:
             raise ServiceError(
                 f"torn read: pinned version {self.as_of} but result "
@@ -143,10 +144,10 @@ class PinnedView:
         return result
 
     def search(self, attributes, **kwargs):
-        return self._check(self._market.search(attributes, **kwargs))
+        return self._read(self._market.search, attributes, **kwargs)
 
     def plan(self, attributes, **kwargs):
-        return self._check(self._market.plan(attributes, **kwargs))
+        return self._read(self._market.plan, attributes, **kwargs)
 
 
 class MarketService:
@@ -199,6 +200,10 @@ class MarketService:
         return ticket
 
     # -- writer API (all enqueue + return a ticket) ------------------------
+    def _ticket(self, label: str, method, *args, **kwargs) -> WriteTicket:
+        """Enqueue the façade call ``method(*args, **kwargs)`` as one write."""
+        return self.submit(lambda: method(*args, **kwargs), label=label)
+
     def register_dataset(
         self,
         relation: Relation,
@@ -208,12 +213,10 @@ class MarketService:
         license: License | None = None,
         policy: ContextualIntegrityPolicy | None = None,
     ) -> WriteTicket:
-        return self.submit(
-            lambda: self.market.register_dataset(
-                relation, seller, reserve_price=reserve_price,
-                license=license, policy=policy,
-            ),
-            label=f"register:{relation.name}",
+        return self._ticket(
+            f"register:{relation.name}", self.market.register_dataset,
+            relation, seller, reserve_price=reserve_price, license=license,
+            policy=policy,
         )
 
     def update_dataset(
@@ -225,54 +228,66 @@ class MarketService:
         license: License | None = None,
         policy: ContextualIntegrityPolicy | None = None,
     ) -> WriteTicket:
-        return self.submit(
-            lambda: self.market.update_dataset(
-                relation, seller, reserve_price=reserve_price,
-                license=license, policy=policy,
-            ),
-            label=f"update:{relation.name}",
+        return self._ticket(
+            f"update:{relation.name}", self.market.update_dataset,
+            relation, seller, reserve_price=reserve_price, license=license,
+            policy=policy,
         )
 
     def retire_dataset(self, dataset: str) -> WriteTicket:
-        return self.submit(
-            lambda: self.market.retire_dataset(dataset),
-            label=f"retire:{dataset}",
+        return self._ticket(
+            f"retire:{dataset}", self.market.retire_dataset, dataset
         )
+
+    def _retire_as(self, dataset: str, seller: str) -> WriteTicket:
+        """:meth:`retire_dataset` on behalf of an authenticated seller (the
+        gateway's ``DELETE``): ownership is checked inside the write, so a
+        re-registration of the name by someone else cannot slip between
+        the check and the retire."""
+        def retire():
+            licenses = self.market.arbiter.licenses
+            if dataset in licenses:
+                owner = licenses.owner_of(dataset)
+                if owner != seller:
+                    raise DatasetOwnershipError(
+                        f"dataset {dataset!r} belongs to {owner!r}, "
+                        f"not {seller!r}"
+                    )
+            return self.market.retire_dataset(dataset)
+
+        return self._ticket(f"retire:{dataset}", retire)
 
     def register_participant(
         self, name: str, funding: float = 0.0
     ) -> WriteTicket:
-        return self.submit(
-            lambda: self.market.register_participant(name, funding=funding),
-            label=f"participant:{name}",
+        return self._ticket(
+            f"participant:{name}", self.market.register_participant,
+            name, funding=funding,
         )
 
     def submit_wtp(self, wtp) -> WriteTicket:
-        return self.submit(
-            lambda: self.market.submit_wtp(wtp),
-            label=f"wtp:{wtp.buyer}",
-        )
+        return self._ticket(f"wtp:{wtp.buyer}", self.market.submit_wtp, wtp)
 
     def run_round(self, context: str = "*") -> WriteTicket:
         """Clear the market (a mutation: data moves, money moves)."""
-        return self.submit(
-            lambda: self.market.run_round(context=context), label="round"
-        )
+        return self._ticket("round", self.market.run_round, context=context)
 
     # -- snapshot reads ----------------------------------------------------
     def _count_read(self) -> None:
         with self._counter_lock:
             self._reads += 1
 
-    def search(self, attributes, **kwargs):
+    def _read(self, method, *args, **kwargs):
+        """The façade read ``method(*args, **kwargs)`` under the read lock."""
         self._count_read()
         with self._lock.read():
-            return self.market.search(attributes, **kwargs)
+            return method(*args, **kwargs)
+
+    def search(self, attributes, **kwargs):
+        return self._read(self.market.search, attributes, **kwargs)
 
     def plan(self, attributes, **kwargs):
-        self._count_read()
-        with self._lock.read():
-            return self.market.plan(attributes, **kwargs)
+        return self._read(self.market.plan, attributes, **kwargs)
 
     @contextmanager
     def pinned(self):

@@ -8,7 +8,7 @@ process **replays** state instead of re-profiling every dataset:
   license and contextual-integrity policy),
 * per-column profiles — summary statistics plus the binary MinHash
   signature (:meth:`~repro.sketches.MinHash.to_bytes`: a header and the
-  raw one-permutation bins; replay re-densifies them),
+  bins; replay loads them as they are),
 * the LSH band buckets each signature hashes into,
 * the join-candidate set and the relationship graph's edges, both with
   their fan-out estimates,
@@ -20,10 +20,11 @@ process **replays** state instead of re-profiling every dataset:
 all keyed by ``graph_version`` so a cold start resumes the exact version
 counter — ``as_of`` stamps stay monotonic across restarts.  The store
 records its :data:`SCHEMA_VERSION`, and a store of any other version is
-refused at open with a typed :class:`StoreError` — schema-2 stores held
-signatures, band keys and join candidates from retired estimators, and
-replaying them beside new signatures would mix two estimators.
-Re-registering the corpus is the migration.
+refused at open with a typed :class:`StoreError` — schema-3 stores held
+signatures densified on load and schema-2 stores signatures, band keys
+and join candidates from retired estimators, and replaying them beside
+new signatures would mix two estimators.  Re-registering the corpus is
+the migration.
 
 Durability follows the usual SQLite service recipe: WAL journaling (readers
 never block the single writer), ``synchronous=NORMAL`` (safe with WAL; an
@@ -66,12 +67,14 @@ from ..market.licensing import (
 from ..relation import Relation
 from ..sketches import MinHash
 
-#: bump on any table change; a store created by a different schema version
-#: is refused rather than silently misread.  Version 3 holds one sketch
-#: scheme: schema-2 stores carried classic or rotation-densified
-#: signatures, band keys and join candidates from other estimators, so
-#: they are refused instead of replayed beside new signatures
-SCHEMA_VERSION = 3
+#: bump on any table or payload change; a store created by a different
+#: schema version is refused rather than silently misread.  Version 4
+#: holds round-filled signatures: schema-3 payloads kept one round with
+#: empty bins for load-time densification, and schema-2 stores carried
+#: classic or rotation-densified signatures, band keys and join candidates
+#: from other estimators, so both are refused instead of replayed beside
+#: new signatures
+SCHEMA_VERSION = 4
 
 _JSON_SCALARS = (type(None), bool, int, float, str)
 
@@ -229,6 +232,13 @@ def _mapping_from_json(data: dict):
     if data["type"] == "affine":
         return AffineMap(data["a"], data["b"])
     return DictionaryMap({k: v for k, v in data["pairs"]})
+
+
+def _check_limit(limit) -> None:
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
+        raise InvalidRequestError(
+            f"limit must be a positive integer, got {limit!r}"
+        )
 
 
 class MarketStore:
@@ -787,10 +797,7 @@ class MarketStore:
         :class:`~repro.errors.InvalidRequestError` *before* any SQL runs,
         so network gateways can map them to a 422 instead of surfacing a
         storage error."""
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise InvalidRequestError(
-                f"limit must be a positive integer, got {limit!r}"
-            )
+        _check_limit(limit)
         try:
             column, parse, field = LIST_SORT_KEYS[sort]
         except KeyError:
@@ -839,7 +846,10 @@ class MarketStore:
     def search_datasets(self, query: str, limit: int = 10) -> list[dict]:
         """Free-text dataset search over names, owners, column names and
         semantic tags — FTS5-ranked (bm25) when available, LIKE otherwise.
-        """
+        A non-positive ``limit`` is an
+        :class:`~repro.errors.InvalidRequestError` (SQLite would read a
+        negative one as no limit at all)."""
+        _check_limit(limit)
         tokens = [t for t in query.split() if t]
         if not tokens:
             return []

@@ -18,9 +18,9 @@ from .minhash import MinHash
 class LSHIndex:
     """Banded LSH index mapping keys to MinHash signatures.
 
-    Banding consumes the dense (densified) ``signature`` vector.  One index
-    must hold one seed: the first signature added pins it, and adding or
-    querying with a signature of another seed raises a typed
+    Banding consumes the ``signature`` vector.  One index must hold one
+    seed: the first signature added pins it, and adding or querying with
+    a signature of another seed raises a typed
     :class:`~repro.errors.InvalidRequestError` instead of silently
     bucketing incomparable minima."""
 

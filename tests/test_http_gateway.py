@@ -14,7 +14,9 @@ The properties under test:
   ``Content-Length`` is refused with a typed JSON error before the body
   is read;
 * **snapshot reads** — a pinned search+plan over HTTP answers both
-  against one graph version even while writers churn.
+  against one graph version even while writers churn;
+* **the operation table** — every entry of ``OPERATIONS`` round-trips: a
+  client call returns what the in-process service returns (or its view).
 """
 
 from __future__ import annotations
@@ -36,14 +38,21 @@ from repro.errors import (
     MarketError,
     RateLimitError,
 )
+from repro.market.licensing import (
+    ContextualIntegrityPolicy,
+    License,
+    LicenseKind,
+)
 from repro.platform import (
     MarketClient,
     MarketGateway,
     MarketService,
     STATUS_BY_ERROR,
+    WriteTicket,
     status_for,
 )
-from repro.platform.http import MAX_BODY_BYTES
+from repro.platform.http import MAX_BODY_BYTES, OPERATIONS
+from repro.platform.results import plan_view, round_view
 from repro.relation import Column, Relation
 from repro.wtp import PriceCurve, QueryCompletenessTask, WTPFunction
 
@@ -494,3 +503,135 @@ def test_service_stats_standalone():
         assert stats["graph_version"] == service.market.graph_version
     finally:
         service.close()
+
+
+# ---------------------------------------------------------------------------
+# the operation table: every entry round-trips
+# ---------------------------------------------------------------------------
+
+#: one call per table operation, made after the shared prelude:
+#: (token, client arguments, the service arguments the token fills)
+CALLS = {
+    "register_dataset": ("tok-acme",
+                         {"relation": rel("extra"), "reserve_price": 2.0,
+                          "license": License(LicenseKind.EXCLUSIVE, 0.25),
+                          "policy": ContextualIntegrityPolicy.of("ads")},
+                         {"seller": "acme"}),
+    "update_dataset": ("tok-acme",
+                       {"relation": rel("dim", offset=7),
+                        "reserve_price": 3.0},
+                       {"seller": "acme"}),
+    "retire_dataset": ("tok-acme", {"dataset": "dim"}, {}),
+    "list_datasets": (None, {"limit": 2, "sort": "name"}, {}),
+    "search_text": (None, {"query": "base", "limit": 5}, {}),
+    "search": (None, {"attributes": ["base_val", "dim_val"]}, {}),
+    "plan": (None, {"attributes": ["entity_id", "base_val", "dim_val"],
+                    "key": "entity_id"}, {}),
+    "submit_wtp": ("tok-b1", {"wtp": wtp_for("b1", price=9.0)}, {}),
+    "run_round": ("tok-b1", {"context": "*"}, {}),
+    "register_participant": ("tok-b1", {"name": "b3", "funding": 5.0}, {}),
+}
+
+#: operations whose client result is the served view of the service's
+VIEWS = {
+    "plan": lambda result: plan_view(result, collect=True),
+    "run_round": round_view,
+}
+
+
+def prelude(call) -> None:
+    """The same op sequence on either side: ``call(token, name, args,
+    service_args)`` runs one operation."""
+    call("tok-acme", "register_dataset",
+         {"relation": rel("base"), "reserve_price": 1.0}, {"seller": "acme"})
+    call("tok-acme", "register_dataset",
+         {"relation": rel("dim", offset=100)}, {"seller": "acme"})
+    for buyer, price in (("b1", 10.0), ("b2", 8.0)):
+        call(f"tok-{buyer}", "register_participant",
+             {"name": buyer, "funding": 100.0}, {})
+        call(f"tok-{buyer}", "submit_wtp",
+             {"wtp": wtp_for(buyer, price=price)}, {})
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_every_operation_round_trips(store_gateway, tmp_path, name):
+    local = MarketService(DataMarket(store=str(tmp_path / "local.db")))
+
+    def remote(token, op, args, service_args):
+        return getattr(client(store_gateway, token), op)(**args)
+
+    def in_process(token, op, args, service_args):
+        result = getattr(local, op)(**args, **service_args)
+        return result.result(10) if isinstance(result, WriteTicket) else result
+
+    try:
+        prelude(remote)
+        prelude(in_process)
+        token, args, service_args = CALLS[name]
+        got = remote(token, name, args, service_args)
+        expected = in_process(token, name, args, service_args)
+    finally:
+        local.close()
+    assert got == VIEWS.get(name, lambda result: result)(expected)
+
+
+# ---------------------------------------------------------------------------
+# bounded per-request keys, names with "/", the text-search limit
+# ---------------------------------------------------------------------------
+
+def test_made_up_tokens_share_their_address_bucket():
+    service = MarketService(DataMarket())
+    gw = MarketGateway(
+        service, tokens=dict(TOKENS), rate_limit=0.01, burst=2
+    ).start()
+    try:
+        client(gw, "made-up-1").healthz()
+        client(gw, "made-up-2").healthz()
+        with pytest.raises(RateLimitError):
+            client(gw, "made-up-3").healthz()
+        # a known token still has its own bucket
+        assert client(gw, "tok-acme").healthz()["status"] == "ok"
+    finally:
+        gw.stop()
+        service.close()
+
+
+def test_unmatched_requests_count_under_one_route_key(gateway):
+    acme = client(gateway, "tok-acme")
+    acme.register_dataset(rel("base"))
+    acme.search(["base_val"])
+    acme.stats()
+    before = set(acme.stats()["requests"]["by_route"])
+    assert before == {"register_dataset", "search", "stats"}
+    for i in range(200):
+        status, _, _ = gateway.handle(
+            "GET", f"/no-such-path-{i}", {}, b"", "127.0.0.1"
+        )
+        assert status == 404
+    by_route = acme.stats()["requests"]["by_route"]
+    assert len(set(by_route) - before) == 1
+    assert sorted(by_route.values())[-1] == 200
+
+
+def test_dataset_names_may_contain_a_slash(gateway):
+    acme = client(gateway, "tok-acme")
+    assert acme.register_dataset(rel("a/b")).dataset == "a/b"
+    updated = acme.update_dataset(rel("a/b", offset=3), reserve_price=2.0)
+    assert (updated.dataset, updated.created) == ("a/b", False)
+    assert acme.retire_dataset("a/b").dataset == "a/b"
+    with pytest.raises(DatasetNotFoundError):
+        acme.retire_dataset("a/b")
+
+
+@pytest.mark.parametrize("limit", [-1, 0])
+def test_text_search_limit_is_422(store_gateway, limit):
+    acme = client(store_gateway, "tok-acme")
+    for name in ("acme1", "acme2", "acme3"):
+        acme.register_dataset(rel(name))
+    with pytest.raises(InvalidRequestError, match="positive integer"):
+        acme.search_text("acme", limit=limit)
+    status, payload, _ = store_gateway.handle(
+        "GET", f"/search?q=acme&limit={limit}", {}, b"", "127.0.0.1"
+    )
+    assert status == 422
+    assert payload["error"]["type"] == "InvalidRequestError"

@@ -323,6 +323,16 @@ def test_fts_search_finds_by_column_and_semantic(tmp_path):
     assert isinstance(store.search_datasets('city AND "x'), list)
 
 
+@pytest.mark.parametrize("limit", [-1, 0, "10", True])
+def test_text_search_limit_rejected_before_sql(tmp_path, limit):
+    # SQLite reads LIMIT -1 as "no limit" and LIMIT 0 as an empty page;
+    # both are misuse, refused like list_datasets refuses them
+    live, _ = seeded_store_market(tmp_path)
+    with pytest.raises(InvalidRequestError, match="positive integer"):
+        live.store.search_datasets("acme", limit=limit)
+    assert len(live.store.search_datasets("acme", limit=1)) == 1
+
+
 def test_schema_version_mismatch_refused(tmp_path):
     path = tmp_path / "market.db"
     MarketStore(path)

@@ -1,14 +1,13 @@
-"""One-permutation MinHash with probe densification: accuracy,
-canonicalization, safety.
+"""One-permutation MinHash in rounds: accuracy, canonicalization, safety.
 
 Four property families around the production sketch:
 
-* **Estimator accuracy** — OPH with probe densification and the classic
-  k-permutation oracle (``oracles.legacy``) both estimate exact Jaccard
-  within concentration bounds, including tiny universes where most bins
-  are empty and densification supplies nearly the whole signature; on
-  sparse nested sets the OPH estimate spreads at most 1.25x as widely as
-  the classic one.
+* **Estimator accuracy** — OPH and the classic k-permutation oracle
+  (``oracles.legacy``) both estimate exact Jaccard within concentration
+  bounds, including tiny universes where later rounds supply nearly the
+  whole signature, and tiny sets whose tokens share a bin; on sparse
+  nested sets the OPH estimate spreads at most 1.25x as widely as the
+  classic one.
 * **Packed canonicalization bit-stability** — the repr-free numeric
   encoding collapses ``-0.0``/``0.0``, every NaN payload, and int-valued
   floats onto single tokens, keeps bools distinct from ints, and the
@@ -40,7 +39,13 @@ from repro.relation.columnar import PACK_WIDTH, pack_value, unpack_value
 from repro.sketches import MinHash
 from repro.sketches.histograms import NumericSummary
 from repro.sketches.lsh import LSHIndex
-from repro.sketches.minhash import _PRIME, _probe_keys, jaccard_exact
+from repro.sketches.minhash import (
+    _PRIME,
+    _round_hashes,
+    _seed_offset,
+    hash_tokens,
+    jaccard_exact,
+)
 
 from test_columnar_profiling import (
     assert_profiles_identical,
@@ -81,10 +86,9 @@ def test_oph_and_classic_track_exact_jaccard(overlap, seed):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
 def test_tiny_universe_densification_dominates(size):
-    """Sets far smaller than num_perm leave most bins empty: identical
-    sets must still estimate 1.0 (densified slots agree because the probe
-    sequences pick the same donors) and disjoint sets must estimate near
-    0."""
+    """Sets far smaller than num_perm leave most bins to later rounds:
+    identical sets must still estimate 1.0 (the same rounds reach the
+    same bins) and disjoint sets must estimate near 0."""
     tokens = {f"t{i}" for i in range(size)}
     others = {f"u{i}" for i in range(size)}
     a = MinHash.of_tokens(tokens, num_perm=64)
@@ -131,48 +135,102 @@ def test_oph_seeds_decorrelate_signatures():
 
 
 # ---------------------------------------------------------------------------
-# probe densification
+# rounds
 # ---------------------------------------------------------------------------
 
-def test_probe_sequences_are_fixed_permutations():
-    """Each bin's probe sequence orders every bin by a distinct key,
-    depends only on (num_perm, seed), and differs across bins and
-    seeds."""
-    keys = _probe_keys(64, 7)
-    assert keys.shape == (64, 64)
-    assert all(len(set(row)) == 64 for row in keys.tolist())
-    assert _probe_keys(64, 7) is keys  # built once per family
-    assert not keys.flags.writeable
-    orders = {tuple(np.argsort(row)) for row in keys}
-    assert len(orders) == 64
-    assert not np.array_equal(_probe_keys(64, 8), keys)
+def test_round_hashes_are_fixed_per_family():
+    """Each round's hash is a bijection of the hash universe, round 0 is
+    the identity, and the rest depend only on (num_perm, seed) and differ
+    across rounds and seeds."""
+    a, b = _round_hashes(64, 7)
+    assert a.shape == b.shape == (128,)
+    assert _round_hashes(64, 7)[0] is a  # built once per family
+    assert not a.flags.writeable and not b.flags.writeable
+    assert (a[0], b[0]) == (1, 0)
+    assert (a >= 1).all() and (a < _PRIME).all()
+    assert (b >= 0).all() and (b < _PRIME).all()
+    assert len(set(zip(a.tolist(), b.tolist()))) == 128
+    assert not np.array_equal(_round_hashes(64, 8)[0][1:], a[1:])
+
+
+def _rounds_reference(tokens, num_perm: int, seed: int) -> np.ndarray:
+    """Every round of every token, without stopping early: round
+    ``r < num_perm`` reaches the bin of its hash's high bits, round
+    ``num_perm + j`` reaches bin ``j``."""
+    h = (hash_tokens(tokens) + _seed_offset(seed)) % _PRIME
+    a, b = _round_hashes(num_perm, seed)
+    bins = np.full(num_perm, np.iinfo(np.int64).max)
+    for r in range(2 * num_perm):
+        hr = (a[r] * h + b[r]) % _PRIME
+        reached = (hr * num_perm) // _PRIME if r < num_perm else (
+            np.full(len(h), r - num_perm)
+        )
+        np.minimum.at(bins, reached, r * _PRIME + hr)
+    return bins
 
 
 @pytest.mark.parametrize("n_tokens", [1, 2, 5, 40])
-def test_empty_bins_copy_first_filled_bin_along_probe_sequence(n_tokens):
-    mh = MinHash.of_tokens({f"t{i}" for i in range(n_tokens)}, num_perm=64)
-    keys = _probe_keys(64, mh.seed)
-    filled = np.flatnonzero(mh._bins != _PRIME)
-    assert 0 < len(filled) <= n_tokens
-    for j in range(64):
-        if mh._bins[j] != _PRIME:
-            assert mh.signature[j] == mh._bins[j]
-        else:
-            donor = filled[np.argmin(keys[j, filled])]
-            assert mh.signature[j] == mh._bins[donor]
+def test_bins_hold_the_first_round_that_reaches_them(n_tokens):
+    tokens = [f"t{i}" for i in range(n_tokens)]
+    mh = MinHash.of_tokens(set(tokens), num_perm=64)
+    assert np.array_equal(mh._bins, _rounds_reference(tokens, 64, mh.seed))
+    assert np.array_equal(mh.signature, mh._bins)
+    # round 0 fills at most one bin per token
+    assert 0 < (mh._bins < _PRIME).sum() <= n_tokens
+
+
+@pytest.mark.parametrize("n_tokens", [1, 2, 3, 6])
+def test_tiny_folds_and_merges_match_one_shot(n_tokens):
+    """Stopping early stays exact: a token at a time, or singletons
+    merged, give the one-shot signature."""
+    tokens = [f"t{i}" for i in range(n_tokens)]
+    one_shot = MinHash.of_tokens(tokens, num_perm=64)
+    incremental = MinHash(num_perm=64)
+    merged = MinHash(num_perm=64)
+    for t in tokens:
+        incremental.update_tokens([t])
+        merged = merged.merge(MinHash.of_tokens([t], num_perm=64))
+    assert incremental.digest() == one_shot.digest() == merged.digest()
 
 
 def test_runs_of_empty_bins_draw_independent_donors():
     """Rotation densification copied one donor into whole runs of empty
-    bins; probe sequences give neighbouring empty bins independent
-    donors, so a neighbour shares the donor only about once per filled
-    bin."""
+    bins; bins round 0 leaves empty are each reached by whichever token a
+    later round sends there first, so neighbours agree only by chance."""
     mh = MinHash.of_tokens({f"t{i}" for i in range(4)}, num_perm=64)
-    empty = mh._bins == _PRIME
+    empty = mh._bins >= _PRIME
     both = empty[1:] & empty[:-1]
     same = (mh.signature[1:] == mh.signature[:-1]) & both
     assert both.sum() > 40
     assert same.sum() / both.sum() < 0.5
+
+
+def test_tokens_sharing_a_bin_stay_visible_to_tiny_sets():
+    """``{0}`` against ``{0, 217}`` at 256 bins: both tokens of the pair
+    fall into the one bin ``{0}`` fills in round 0, where 217's hash is
+    the smaller.  Copying that bin into the empty ones (densification)
+    put 217 into every slot of the pair's signature and estimated 0.0
+    (exact 0.5); later rounds send 0 to other bins."""
+    single = MinHash.of({0}, num_perm=256)
+    pair = MinHash.of({0, 217}, num_perm=256)
+    homed = np.flatnonzero(pair._bins < _PRIME)
+    assert np.array_equal(homed, np.flatnonzero(single._bins < _PRIME))
+    assert len(homed) == 1 and pair._bins[homed] != single._bins[homed]
+    assert abs(single.jaccard(pair) - 0.5) < 0.1
+
+
+def test_tiny_sets_estimate_within_k_permutation_spread():
+    """2,000 seeded pairs of 1-6 values from a 30-value universe, many
+    with two tokens in one bin: at 256 bins (a k-permutation sketch's
+    standard deviation is at most 0.031) no estimate is 0.15 off."""
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(2000):
+        a = set(rng.integers(0, 30, rng.integers(1, 7)).tolist())
+        b = set(rng.integers(0, 30, rng.integers(1, 7)).tolist())
+        est = MinHash.of(a, num_perm=256).jaccard(MinHash.of(b, num_perm=256))
+        worst = max(worst, abs(est - jaccard_exact(a, b)))
+    assert worst < 0.15
 
 
 # ---------------------------------------------------------------------------
