@@ -56,10 +56,11 @@ class DataTrust:
             )
         if len(relation) == 0:
             raise TrustError(f"member {member!r} contributed zero rows")
+        # every row is checked before any joins the pool: a contribution
+        # is pooled whole or not at all
+        self.schema.validate_rows(relation.rows)
         start = len(self._rows)
-        for row in relation.rows:
-            self.schema.validate_row(row)
-            self._rows.append(tuple(row))
+        self._rows.extend(relation.rows)
         contribution = MemberContribution(
             member=member, rows=len(relation), start=start,
             end=len(self._rows),

@@ -16,13 +16,25 @@ objects across the network, so they come back as frozen views
 :class:`~repro.platform.RoundSummary`) holding the *materialized* relations
 the server collected from the lazy trees.
 
-Only the stdlib is used (``http.client``); a connection is opened per
-request, which keeps the client trivially thread-safe.
+Only the stdlib is used (``http.client``).  A client keeps its
+connections open between calls: a call takes an idle connection from a
+lock-guarded stack (or opens one, so threads can share a client) and puts
+it back once the whole answer is read, unless the gateway said
+``Connection: close``.  An idle connection is checked, without blocking,
+before it is reused, and one the gateway has closed is dropped.  A
+request is never sent twice: once any of it may have been written, a
+failure is raised to the caller and its connection dropped, so a write
+cannot be applied twice.  :meth:`MarketClient.close` (or leaving a
+``with`` block, or the client being collected) closes the idle
+connections.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import weakref
 from http.client import HTTPConnection
 from urllib.parse import urlencode, urlsplit
 
@@ -75,12 +87,39 @@ class GatewayResponseError(MarketError):
     """The gateway answered with something that is not gateway JSON."""
 
 
+def _still_open(conn: HTTPConnection) -> bool:
+    """Whether the gateway still holds an idle connection open, checked
+    without blocking: it sends nothing unasked, so anything to read (its
+    hang-up included) means the connection is done."""
+    sock = conn.sock
+    timeout = sock.gettimeout()
+    sock.settimeout(0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    finally:
+        sock.settimeout(timeout)
+    return False
+
+
+def _close_idle(idle: list[HTTPConnection], lock: threading.Lock) -> None:
+    with lock:
+        conns, idle[:] = idle[:], []
+    for conn in conns:
+        conn.close()
+
+
 class MarketClient:
     """Drive a :class:`~repro.platform.http.MarketGateway` over HTTP.
 
     ``base_url`` is the gateway root (e.g. ``http://127.0.0.1:8080``);
     ``token`` authenticates mutating calls — the gateway resolves it to
-    the seller/buyer the client acts as."""
+    the seller/buyer the client acts as.  Threads may share a client; its
+    connections stay open between calls until :meth:`close` (or the end
+    of a ``with`` block)."""
 
     def __init__(
         self,
@@ -100,8 +139,35 @@ class MarketClient:
         self.port = int(port) if port else 80
         self.token = token
         self.timeout = timeout
+        #: idle keep-alive connections, the most recently used last
+        self._idle: list[HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        # a client dropped without close() closes its connections too
+        weakref.finalize(self, _close_idle, self._idle, self._idle_lock)
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        _close_idle(self._idle, self._idle_lock)
+
+    def __enter__(self) -> "MarketClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport ---------------------------------------------------------
+    def _connection(self) -> HTTPConnection:
+        """An idle connection the gateway still holds open, or a new one."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
+            if _still_open(conn):
+                return conn
+            conn.close()
+        return HTTPConnection(self.host, self.port, timeout=self.timeout)
+
     def _request(
         self,
         method: str,
@@ -117,15 +183,23 @@ class MarketClient:
         if self.token is not None:
             headers["Authorization"] = f"Bearer {self.token}"
         payload = json.dumps(body).encode("utf-8") if body is not None else b""
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        conn = self._connection()
         try:
             conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()
             raw = response.read()
-            status = response.status
-            retry_after = response.getheader("Retry-After")
-        finally:
+        except BaseException:
+            # part of the request may have gone out: it is not sent again,
+            # and the connection, out of step, is not reused
             conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        status = response.status
+        retry_after = response.getheader("Retry-After")
         try:
             data = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):

@@ -28,6 +28,11 @@ layer adds exactly the concerns a network edge owns and nothing else:
   :class:`~repro.errors.MarketError` hierarchy to HTTP statuses; every
   error response is a structured JSON body carrying the error type, the
   message, and the graph version (``as_of``) current when it was raised.
+* **Connections.**  A connection stays open across requests (HTTP/1.1,
+  with ``TCP_NODELAY`` so an answer never waits for a delayed ACK), the
+  accept queue is ``socket.SOMAXCONN`` deep, every verb reaches the router
+  (a ``HEAD`` answer has no body), and :meth:`MarketGateway.stop` hangs up
+  on every open connection.
 
 All market semantics — duplicate detection, license continuity, plan
 caching, snapshot pinning — live below the service boundary; the gateway
@@ -45,6 +50,7 @@ import json
 import math
 import operator
 import re
+import socket
 import threading
 import time
 import typing
@@ -690,8 +696,50 @@ class _Route(NamedTuple):
 
 class _GatewayServer(ThreadingHTTPServer):
     daemon_threads = True
+    #: a burst of new connections waits in the accept queue; an overflow
+    #: would leave the kernel's SYN retry (a second or more) to recover
+    request_queue_size = socket.SOMAXCONN
     #: set by MarketGateway.start(); handlers reach the gateway through it
     gateway: "MarketGateway"
+
+    def __init__(self, *args, **kwargs):
+        #: each open connection and the thread serving it
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="market-gateway-connection",
+            daemon=True,
+        )
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket, then hang up every open connection
+        and wait (10 s in all) for the threads that serve them: a
+        kept-alive connection would otherwise be served on after the
+        gateway stopped."""
+        super().server_close()
+        with self._live_lock:
+            live = list(self._live.items())
+            for request, _ in live:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client hung up first
+                    pass
+        deadline = time.monotonic() + 10
+        for _, thread in live:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class MarketGateway:
@@ -768,6 +816,8 @@ class MarketGateway:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, then hang up every open connection: a client
+        holding one gets an error, not an answer."""
         if self._server is None:
             return
         self._server.shutdown()
@@ -971,6 +1021,9 @@ class MarketGateway:
 def _make_handler() -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        #: TCP_NODELAY: on a kept-alive connection the body would wait
+        #: for the client's delayed ACK of the headers
+        disable_nagle_algorithm = True
         server: _GatewayServer
 
         def _dispatch(self) -> None:
@@ -993,7 +1046,9 @@ def _make_handler() -> type[BaseHTTPRequestHandler]:
             for key, value in extra.items():
                 self.send_header(key, value)
             self.end_headers()
-            self.wfile.write(data)
+            if self.command != "HEAD":
+                # a HEAD answer's body would be read as the next answer
+                self.wfile.write(data)
 
         def _read_body(self) -> bytes:
             raw = self.headers.get("Content-Length")
@@ -1015,8 +1070,13 @@ def _make_handler() -> type[BaseHTTPRequestHandler]:
             length = int(digits)
             return self.rfile.read(length) if length else b""
 
-        # BaseHTTPRequestHandler calls do_<VERB>; the verb is self.command
-        do_GET = do_POST = do_PUT = do_DELETE = _dispatch
+        def __getattr__(self, name: str):
+            # BaseHTTPRequestHandler calls do_<VERB>: every verb reaches
+            # the router (the verb is self.command), so one without a
+            # route gets the gateway's JSON error, not stdlib's HTML 501
+            if name.startswith("do_"):
+                return self._dispatch
+            raise AttributeError(name)
 
         def log_message(self, format, *args):  # quiet by default
             pass

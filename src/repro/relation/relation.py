@@ -63,8 +63,7 @@ class Relation:
         self._columnar: ColumnarView | None = None
         self._chash: str | None = None
         if validate:
-            for row in self._rows:
-                self.schema.validate_row(row)
+            self.schema.validate_rows(self._rows)
         if provenance is None:
             self._prov: tuple[ProvExpr, ...] | DeferredProvenance = (
                 DeferredProvenance(len(self._rows), source=name)

@@ -9,7 +9,9 @@ match attributes across datasets whose physical names differ.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from operator import itemgetter
+from types import NoneType
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import SchemaError, TypeMismatchError, UnknownColumnError
 
@@ -53,6 +55,21 @@ class Column:
 
     def renamed(self, name: str) -> "Column":
         return replace(self, name=name)
+
+
+def _accepts_types(column: Column, types: set[type]) -> bool:
+    """True when :meth:`Column.accepts` holds for every value whose type is
+    in ``types``, decided once per type.  False may be too strict (a value
+    can pass ``isinstance`` through a custom ``__class__``), so a caller
+    that gets False asks :meth:`Column.accepts` of each value."""
+    pytypes = _PYTYPES[column.dtype]
+    numeric = column.dtype in ("int", "float")
+    return all(
+        t is NoneType or (
+            issubclass(t, pytypes) and not (numeric and issubclass(t, bool))
+        )
+        for t in types
+    )
 
 
 class Schema:
@@ -164,6 +181,20 @@ class Schema:
                     f"value {value!r} is not valid for column "
                     f"{col.name!r}:{col.dtype}"
                 )
+
+    def validate_rows(self, rows: Sequence[tuple]) -> None:
+        """Check every row as :meth:`validate_row` does, a column at a
+        time: the arity of all rows once, then each column's set of value
+        types once.  Only a failed check walks the rows one by one, so the
+        error raised is the first one the per-row check finds."""
+        width = len(self._columns)
+        valid = set(map(len, rows)) <= {width} and all(
+            _accepts_types(col, set(map(type, map(itemgetter(i), rows))))
+            for i, col in enumerate(self._columns) if col.dtype != "any"
+        )
+        if not valid:
+            for row in rows:
+                self.validate_row(row)
 
     def with_semantic(self, name: str, semantic: str) -> "Schema":
         """Return a copy with the semantic tag of one column replaced."""

@@ -16,14 +16,23 @@ The properties under test:
 * **snapshot reads** — a pinned search+plan over HTTP answers both
   against one graph version even while writers churn;
 * **the operation table** — every entry of ``OPERATIONS`` round-trips: a
-  client call returns what the in-process service returns (or its view).
+  client call returns what the in-process service returns (or its view);
+* **connections** — a client keeps one connection across calls and shares
+  its connections between threads, ``stop()`` hangs up on live
+  connections, a restarted gateway is reached without a request being
+  sent twice, a burst of new connections fits the accept queue, and any
+  verb (``HEAD`` included) gets a JSON answer that keeps the connection
+  usable.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
+import time
+from http.client import HTTPConnection
 
 import pytest
 
@@ -51,7 +60,7 @@ from repro.platform import (
     WriteTicket,
     status_for,
 )
-from repro.platform.http import MAX_BODY_BYTES, OPERATIONS
+from repro.platform.http import MAX_BODY_BYTES, OPERATIONS, _GatewayServer
 from repro.platform.results import plan_view, round_view
 from repro.relation import Column, Relation
 from repro.wtp import PriceCurve, QueryCompletenessTask, WTPFunction
@@ -635,3 +644,191 @@ def test_text_search_limit_is_422(store_gateway, limit):
     )
     assert status == 422
     assert payload["error"]["type"] == "InvalidRequestError"
+
+
+# ---------------------------------------------------------------------------
+# kept-alive connections
+# ---------------------------------------------------------------------------
+
+def connection_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate()
+            if t.name == "market-gateway-connection"}
+
+
+def test_one_client_keeps_one_connection(gateway, monkeypatch):
+    accepted = []
+    accept = _GatewayServer.process_request
+
+    def counted(server, request, client_address):
+        accepted.append(client_address)
+        return accept(server, request, client_address)
+
+    monkeypatch.setattr(_GatewayServer, "process_request", counted)
+    with client(gateway, "tok-acme") as acme:
+        acme.register_dataset(rel("base"))
+        for _ in range(19):
+            acme.search(["base_val"])
+    assert len(accepted) == 1
+
+
+def test_threads_sharing_a_client_get_in_process_answers(gateway):
+    service = gateway.service
+    shared = client(gateway, "tok-acme")
+    for name, offset in (("base", 0), ("dim", 50), ("ext", 90)):
+        shared.register_dataset(rel(name, offset=offset))
+    queries = [["base_val"], ["base_val", "dim_val"], ["entity_id", "ext_val"]]
+    expected = [service.search(q) for q in queries]
+    got, errors = [], []
+
+    def reader(k: int) -> None:
+        try:
+            for i in range(15):
+                q = (k + i) % len(queries)
+                got.append((q, shared.search(queries[q])))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch inside the stack's use
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 8 * 15
+    assert all(result == expected[q] for q, result in got)
+    # no connection was handed to two threads at once
+    idle = shared._idle
+    assert len(idle) == len(set(map(id, idle))) <= 8
+    shared.close()
+    assert idle == []
+
+
+def test_stop_hangs_up_on_live_connections():
+    others = connection_threads()
+    service = MarketService(DataMarket())
+    gw = MarketGateway(service).start()
+    held = client(gw)
+    raw = HTTPConnection(*gw.address, timeout=5)
+    try:
+        assert held.healthz()["status"] == "ok"
+        raw.request("GET", "/healthz")
+        assert raw.getresponse().read()
+        serving = connection_threads() - others
+        assert len(serving) == 2  # both connections are kept alive
+        gw.stop()
+        assert not any(t.is_alive() for t in serving)
+        with pytest.raises(OSError):
+            held.healthz()
+        # the same socket: sent, but nobody answers it
+        with pytest.raises((OSError, ConnectionError)):
+            raw.request("GET", "/healthz")
+            raw.getresponse()
+    finally:
+        raw.close()
+        held.close()
+        gw.stop()
+        service.close()
+
+
+def test_restarted_gateway_is_reached_and_a_write_applies_once():
+    service = MarketService(DataMarket())
+    gw = MarketGateway(service, tokens=dict(TOKENS)).start()
+    acme = client(gw, "tok-acme")
+    try:
+        acme.register_dataset(rel("base"))
+        port = gw.address[1]
+        gw.stop()
+        gw = MarketGateway(service, tokens=dict(TOKENS), port=port).start()
+        before = service.stats()
+        assert acme.register_dataset(rel("dim")).dataset == "dim"
+        after = service.stats()
+        assert after["writes_applied"] - before["writes_applied"] == 1
+        assert after["writes_failed"] == before["writes_failed"]
+        # answered by the new gateway, not by a thread of the old one
+        assert acme.stats()["requests"]["by_route"] == {
+            "register_dataset": 1,
+        }
+    finally:
+        acme.close()
+        gw.stop()
+        service.close()
+
+
+def test_sequential_searches_do_not_wait_for_delayed_acks(gateway):
+    with client(gateway, "tok-acme") as acme:
+        acme.register_dataset(rel("base"))
+        acme.search(["base_val"])
+        start = time.perf_counter()
+        for _ in range(50):
+            acme.search(["base_val"])
+        elapsed = time.perf_counter() - start
+    # a body held back by Nagle's algorithm waits ~40 ms per answer
+    assert elapsed < 1.0
+
+
+def test_a_burst_of_new_connections_fits_the_accept_queue(gateway):
+    n = 32
+    barrier = threading.Barrier(n)
+    waits, errors = [], []
+
+    def one_call() -> None:
+        with client(gateway) as fresh:
+            barrier.wait(10)
+            start = time.perf_counter()
+            try:
+                fresh.healthz()
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            waits.append(time.perf_counter() - start)
+
+    threads = [threading.Thread(target=one_call) for _ in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # an overflowed accept queue costs a SYN retry: a second or more
+    assert len(waits) == n and max(waits) < 0.9
+
+
+def test_other_verbs_get_the_gateways_json_errors(gateway):
+    conn = HTTPConnection(*gateway.address, timeout=5)
+    try:
+        answers = []
+        for verb, path in (("PATCH", "/datasets/x"), ("OPTIONS", "/nope")):
+            conn.request(verb, path, body=b"{}")
+            response = conn.getresponse()
+            answers.append((response.status,
+                            json.loads(response.read())["error"]["type"]))
+    finally:
+        conn.close()
+    assert answers == [(422, "InvalidRequestError"),
+                       (404, "DatasetNotFoundError")]
+    # /stats counts itself after it answers
+    assert client(gateway).stats()["requests"]["by_route"] == {
+        "unmatched": 2,
+    }
+
+
+def test_head_answers_headers_only_on_a_kept_alive_connection(gateway):
+    conn = HTTPConnection(*gateway.address, timeout=5)
+    try:
+        conn.request("HEAD", "/healthz")
+        head = conn.getresponse()
+        assert (head.status, head.read()) == (422, b"")
+        assert head.getheader("Content-Type") == "application/json"
+        sock = conn.sock
+        conn.request("GET", "/healthz")
+        answer = conn.getresponse()
+        assert answer.status == 200
+        assert json.loads(answer.read())["status"] == "ok"
+        assert conn.sock is sock  # one connection carried both
+    finally:
+        conn.close()

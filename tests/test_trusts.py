@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datagen import make_classification_world
+from repro.errors import TypeMismatchError
 from repro.market import (
     Arbiter,
     BuyerPlatform,
@@ -48,6 +49,21 @@ def test_contribute_validation():
         )
     with pytest.raises(TrustError, match="no contributions"):
         DataTrust("empty", SCHEMA).pooled_dataset()
+
+
+def test_bad_contribution_is_rejected_whole():
+    schema = Schema([Column("entity_id", "int"), Column("score", "float")])
+    trust = DataTrust("t", schema)
+    # the contribution's own columns take anything; the trust's do not
+    loose = Relation("r", [("entity_id", "any"), ("score", "any")],
+                     [(1, 0.5), (2, "bad"), (3, 1.5)])
+    with pytest.raises(TypeMismatchError, match="'bad'"):
+        trust.contribute("mallory", loose)
+    assert (trust.total_rows, trust.members) == (0, [])
+    trust.contribute("alice", Relation("a", schema, [(10, 2.0)]))
+    pooled = trust.pooled_dataset()
+    assert pooled.rows == ((10, 2.0),)
+    assert trust.distribute(pooled, 10.0) == {"alice": 10.0}
 
 
 def test_distribution_proportional_to_rows_used():
