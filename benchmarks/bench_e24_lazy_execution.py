@@ -26,6 +26,7 @@ bit-identity assertions.
 
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
 
@@ -87,6 +88,10 @@ def measure(engine, plan, resolver):
     per pass so no batch/payload caching leaks across measurements.  Both
     passes read the result's provenance, so both engines build the same
     output whether the engine builds it eagerly or on first read."""
+    # start from a collected heap: a full collection owed to the garbage
+    # of earlier bench files would otherwise land in whichever short pass
+    # allocates next (90 ms inside a 15 ms pass, traced in a full smoke run)
+    gc.collect()
     t0 = time.perf_counter()
     relation = engine.execute(plan.build_tree(resolver))
     relation.provenance

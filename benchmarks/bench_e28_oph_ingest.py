@@ -32,12 +32,13 @@ Correctness rides along in the same sweep: production profiles are
 bit-identical to the OPH scalar oracle; the classic scalar oracle
 reproduces the legacy replica's content hashes and summaries; production
 and the classic oracle agree on every scheme-independent profile field
-(numeric summaries, heavy hitters, distinct fractions — content hashes
-and signatures differ by construction); markets registered through
-production and through the classic oracle agree on join-candidate pairs,
-search hits and materialized plans; and a cold restart from a durable
-store replays signatures and band keys bit-identically while a store in
-the two-scheme schema-2 layout is refused with a typed ``StoreError``.
+(table content hashes, numeric summaries, heavy hitters, distinct
+fractions — column content hashes and signatures differ by construction);
+markets registered through production and through the classic oracle
+agree on join-candidate pairs, search hits and materialized plans; and a
+cold restart from a durable store replays signatures bit-identically
+while a store in the two-scheme schema-2 layout is refused with a typed
+``StoreError``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from oracles.legacy import (
 )
 from oracles.profiling import scalar_profiling
 from repro import DataMarket, internal_market
+from repro.discovery.index import _LSH_ROWS_PER_BAND
 from repro.discovery.metadata import MetadataEngine
 from repro.platform.store import MarketStore, StoreError
 from repro.relation import Column, Relation
@@ -255,13 +257,14 @@ def repr_distinct_merges(specs) -> dict:
 
 def assert_scheme_independent_outputs_match(production, classic, merges):
     """The classic sketch lives in another hash space and digests another
-    canonical stream, so content hashes and signatures differ by
-    construction — but every profile field discovery ranks on must agree,
-    up to the documented ``-0.0``/``0.0`` canonicalization merge (see
-    :func:`repr_distinct_merges`)."""
+    canonical stream per column, so column content hashes and signatures
+    differ by construction — but the table content hash is the relation's
+    one identity, whatever the sketch, and every profile field discovery
+    ranks on must agree, up to the documented ``-0.0``/``0.0``
+    canonicalization merge (see :func:`repr_distinct_merges`)."""
     for a, b in zip(production, classic):
         assert a.dataset == b.dataset
-        assert a.content_hash != b.content_hash
+        assert a.content_hash == b.content_hash
         for ca, cb in zip(a.columns, b.columns):
             assert ca.column == cb.column
             assert repr(ca.numeric) == repr(cb.numeric), ca.column
@@ -437,19 +440,30 @@ def test_e28_discovery_outcomes_identical(scheme_markets, bench_json):
     )
 
 
+def band_keys(signature) -> set[tuple[int, ...]]:
+    """The LSH bucket keys the index cuts from a signature, one per band
+    of ``_LSH_ROWS_PER_BAND`` signature rows."""
+    rows = _LSH_ROWS_PER_BAND
+    sig = signature.signature
+    return {
+        tuple(int(x) for x in sig[b * rows:(b + 1) * rows])
+        for b in range(signature.num_perm // rows)
+    }
+
+
 def test_e28_band_keys_disjoint_by_scheme(scheme_markets):
     """The two schemes hash into different spaces, so their band keys
-    must not collide — this is what makes replaying an old store's band
-    keys beside new signatures unsafe, and why it is refused."""
+    must not collide — this is what makes replaying an old store's
+    signatures beside new ones unsafe, and why it is refused."""
     classic, oph = scheme_markets["classic"], scheme_markets["oph"]
     cols_classic = classic.metadata.snapshot("user_ds0").profile.columns
     cols_oph = oph.metadata.snapshot("user_ds0").profile.columns
     for cc, co in zip(cols_classic, cols_oph):
         if cc.signature.count == 0:
             continue
-        keys_classic = set(classic.index.lsh_band_keys(cc.signature))
-        keys_oph = set(oph.index.lsh_band_keys(co.signature))
-        assert not (keys_classic & keys_oph), cc.column
+        assert not (band_keys(cc.signature) & band_keys(co.signature)), (
+            cc.column
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +492,6 @@ def test_e28_store_replay_bit_identical(tmp_path, bench_json):
             assert cw.signature.to_bytes() == cc.signature.to_bytes(), (
                 cw.column
             )
-            assert warm.index.lsh_band_keys(cw.signature) == (
-                cold.index.lsh_band_keys(cc.signature)
-            ), cw.column
     assert candidate_pairs(cold) == candidate_pairs(warm)
 
     # the same store in the two-scheme layout must be refused at open

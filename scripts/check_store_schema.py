@@ -13,7 +13,9 @@ Three renderings of the :mod:`repro.platform.store` schema must agree:
 
 Whoever edits the DDL must touch all three, and the migration policy
 (bump ``SCHEMA_VERSION``) along with it — this script failing in CI is
-the reminder.  Usage: ``python scripts/check_store_schema.py``.
+the reminder.  The README also states the current ``SCHEMA_VERSION``
+("``SCHEMA_VERSION`` (now N ..."), and the script fails when that number
+differs from the code's.  Usage: ``python scripts/check_store_schema.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.platform.store import TABLES, MarketStore  # noqa: E402
+from repro.platform.store import (  # noqa: E402
+    SCHEMA_VERSION,
+    TABLES,
+    MarketStore,
+)
 
 README = ROOT / "README.md"
 
@@ -67,9 +73,8 @@ def live_schema() -> dict[str, tuple[str, ...]]:
             conn.close()
 
 
-def readme_schema() -> dict[str, tuple[str, ...]]:
+def readme_schema(text: str) -> dict[str, tuple[str, ...]]:
     """Parse the README's schema table: | `name` | ... | col, col, ... |"""
-    text = README.read_text()
     schema = {}
     for line in text.splitlines():
         m = re.match(r"\|\s*`(\w+)`\s*\|[^|]*\|([^|]+)\|\s*$", line)
@@ -79,6 +84,12 @@ def readme_schema() -> dict[str, tuple[str, ...]]:
             )
             schema[m.group(1)] = cols
     return schema
+
+
+def readme_schema_version(text: str) -> int | None:
+    """The version the README states: ``SCHEMA_VERSION`` (now N ..."""
+    m = re.search(r"`SCHEMA_VERSION` \(now (\d+)", text)
+    return None if m is None else int(m.group(1))
 
 
 def diff(label_a: str, a: dict, label_b: str, b: dict) -> list[str]:
@@ -99,7 +110,8 @@ def diff(label_a: str, a: dict, label_b: str, b: dict) -> list[str]:
 def main() -> int:
     live = live_schema()
     documented = dict(TABLES)
-    readme = readme_schema()
+    text = README.read_text()
+    readme = readme_schema(text)
 
     problems = diff("live sqlite", live, "store.TABLES", documented)
     for table, required in REQUIRED_COLUMNS.items():
@@ -117,6 +129,13 @@ def main() -> int:
         )
     else:
         problems += diff("store.TABLES", documented, "README", readme)
+    stated = readme_schema_version(text)
+    if stated != SCHEMA_VERSION:
+        problems.append(
+            f"{README.name} states SCHEMA_VERSION {stated} "
+            "(expected '`SCHEMA_VERSION` (now N'), "
+            f"store.SCHEMA_VERSION is {SCHEMA_VERSION}"
+        )
 
     if problems:
         print("STORE SCHEMA DRIFT:", file=sys.stderr)
@@ -131,7 +150,7 @@ def main() -> int:
         return 1
     print(
         f"store schema consistent across sqlite, store.TABLES and README "
-        f"({len(live)} tables)"
+        f"({len(live)} tables, version {SCHEMA_VERSION})"
     )
     return 0
 

@@ -641,20 +641,6 @@ class IndexBuilder:
             preds.extend(self._pair_predicates(name, other))
         return preds
 
-    def lsh_band_keys(self, signature) -> list[tuple[int, ...]]:
-        """The banded bucket keys this builder derives for a signature
-        (pure function of the signature and the banding configuration —
-        what the durable store persists per column)."""
-        rows = _LSH_ROWS_PER_BAND
-        bands = signature.num_perm // rows
-        return [
-            tuple(
-                int(x)
-                for x in signature.signature[b * rows : (b + 1) * rows]
-            )
-            for b in range(bands)
-        ]
-
     def restore_state(
         self,
         *,
@@ -669,7 +655,7 @@ class IndexBuilder:
         candidate orientation), ``candidates``/``edges`` are re-installed
         verbatim — no re-scoring — and LSH buckets are rebuilt from the
         restored signatures (band keys are a pure function of a signature,
-        so the buckets are bit-identical to the persisted ones).  The graph
+        so the buckets are bit-identical to the live ones).  The graph
         version continues from the stored counter, preserving the platform's
         ``as_of`` monotonicity across restarts."""
         self._profiles = {p.dataset: p for p in profiles}

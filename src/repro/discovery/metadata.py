@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping
 
 from ..errors import DiscoveryError
 from ..relation import Relation
-from .profiler import TableProfile, profile_table, table_content_hash
+from .profiler import TableProfile, profile_table
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,8 @@ class MetadataEngine:
         """Share interface: register or update a single dataset."""
         self._check_quota()
         name = relation.name
-        # one profiling pass: keep the columnar view's text caches alive
-        # across the dedupe hash + per-column profiling; always released
-        # on the way out so an always-on engine does not pin ~tens of
-        # bytes per cell for the lifetime of every registered relation
-        view = relation.columnar
-        view.retain_text = True
         try:
-            content_hash = table_content_hash(relation)
+            content_hash = relation.content_hash()
             lifecycle = self._lifecycles.get(name)
             if (
                 lifecycle is not None
@@ -119,8 +113,10 @@ class MetadataEngine:
                 credentials=credentials,
             )
         finally:
-            view.release_text()
-            view.retain_text = False
+            # the digest and the profiler share the columnar caches for
+            # one pass; an always-on engine must not pin them for the
+            # lifetime of every registered relation
+            relation.columnar.release()
         if lifecycle is None:
             self._lifecycles[name] = DatasetLifecycle(relation, [snapshot])
         else:

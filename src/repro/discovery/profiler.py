@@ -10,12 +10,17 @@ relation's memoized :class:`~repro.relation.columnar.ColumnarView` packs
 exact int/float/bool columns into fixed-width canonical rows, so one
 ``np.unique`` pass yields the distinct token universe (hashed straight
 from the buffer by :func:`~repro.sketches.minhash.hash_packed`), the
-frequency table and the content-hash stream; exact str columns sketch and
-hash their raw UTF-8 values.  Only ``any``-typed and subclass-bearing
-columns, which have no sound repr-free encoding, fall back to one
-canonical ``repr`` per value.  The profiles are bit-identical to the
-value-at-a-time implementation the test suite keeps as its scalar
-reference oracle, which it asserts property-style over randomized dtypes.
+frequency table and the column content-hash stream; str columns sketch
+their raw values and hash their ranks.  Only ``any``-typed columns and
+numeric ones holding subclasses, which have no sound repr-free encoding,
+fall back to one canonical ``repr`` per value.  The profiles are
+bit-identical to the value-at-a-time implementation the test suite keeps
+as its scalar reference oracle, which it asserts property-style over
+randomized dtypes.
+
+A table profile's ``content_hash`` is the relation's one content identity,
+``Relation.content_hash``: it ignores row order, so the same rows in
+another order are the same version of a dataset.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from ..relation import Relation
 from ..relation.columnar import unpack_value
 from ..sketches import CategoricalSummary, MinHash, NumericSummary
-from ..sketches.minhash import hash_packed
+from ..sketches.minhash import hash_packed, hash_tokens
 
 
 @dataclass(frozen=True)
@@ -125,49 +130,21 @@ def column_profile_from_record(
 
 
 def column_content_hash(relation: Relation, name: str) -> str:
-    """Deterministic hash of one column's values (order-sensitive),
-    memoized on the columnar view — the table digest computes every
-    column's hash up front and the per-column profiles reuse them.
+    """Deterministic hash of one column's values (order-sensitive), which
+    lets re-profiling reuse the profiles of unchanged columns.
 
-    The stream is **repr-free** where the dtype allows: packed canonical
-    rows for int/float/bool columns, a length-prefixed UTF-8 concatenation
-    for str columns.  ``any``-typed and subclass-bearing columns digest
-    the ``repr``-based separator-delimited byte stream instead.
+    It digests the column's canonical form in row order, the one the
+    content digest sorts: packed canonical rows for exact int/float/bool
+    columns, and for every other column its sorted distinct canonical
+    strings (count, lengths, UTF-8) and then each cell's rank among them
+    (:meth:`~repro.relation.columnar.ColumnarView.ranks`).
     """
     view = relation.columnar
-    cached = view.column_hashes.get(name)
-    if cached is not None:
-        return cached
-    dtype = relation.schema[name].dtype
     h = hashlib.blake2b(digest_size=16)
     if view.packable(name):
         h.update(view.packed_matrix(name).tobytes())
-    elif dtype == "str" and (stream := view.utf8_stream(name)) is not None:
-        # the join-validated stream doubles as the branch gate
-        lens, payload = stream
-        h.update(lens.astype("<i8").tobytes())
-        h.update(payload)
     else:
-        # no sound repr-free encoding (any-typed or subclass-bearing
-        # column): the repr stream
-        h.update(view.canonical_bytes(name))
-    digest = h.hexdigest()
-    view.column_hashes[name] = digest
-    return digest
-
-
-def table_content_hash(relation: Relation) -> str:
-    """Digest of a whole relation, used for change detection and component
-    fingerprints: the schema, the row count and every column's content
-    hash — no row materialization beyond the column transpose.
-    Order-*sensitive*, which is sound everywhere the hash is consumed
-    (equality means unchanged)."""
-    relation.columnar.materialize()  # one transpose for all columns
-    h = hashlib.blake2b(digest_size=32)
-    h.update(repr(relation.schema).encode())
-    h.update(str(len(relation)).encode())
-    for name in relation.schema.names:
-        h.update(column_content_hash(relation, name).encode())
+        h.update(view.hash_ranked(h, name).tobytes())
     return h.hexdigest()
 
 
@@ -239,6 +216,21 @@ def _categorical_of_packed(
     return CategoricalSummary(count=count, nulls=nulls, distinct=n, top=top)
 
 
+def _categorical_of_ranked(
+    distinct: list[str], counts: np.ndarray, nulls: int, top_k: int = 10,
+) -> CategoricalSummary:
+    """Categorical summary of a str column from its ranks: ``distinct``
+    is sorted, so a stable sort by descending count leaves ties in value
+    order — the ``(-count, value)`` order of
+    :meth:`CategoricalSummary.of_counts`, which the scalar oracle takes
+    and whose output this equals."""
+    top = np.argsort(-counts, kind="stable")[:top_k]
+    return CategoricalSummary(
+        count=int(counts.sum()), nulls=nulls, distinct=len(distinct),
+        top=tuple((distinct[i], int(counts[i])) for i in top),
+    )
+
+
 def profile_column(
     relation: Relation, name: str, num_perm: int = 64,
     content_hash: str | None = None,
@@ -246,9 +238,9 @@ def profile_column(
     """Sketch one column; pass ``content_hash`` when already computed.
 
     Packable (exact int/float/bool) columns sketch their distinct packed
-    canonical rows via :func:`hash_packed`; exact str columns sketch the
-    raw values (no repr quoting).  Columns without a sound repr-free
-    encoding fall back to repr tokens.
+    canonical rows via :func:`hash_packed`; str columns (subclasses
+    included) sketch the raw values (no repr quoting).  Columns without a
+    sound repr-free encoding fall back to repr tokens.
     """
     col = relation.schema[name]
     view = relation.columnar
@@ -263,24 +255,18 @@ def profile_column(
         distinct_count = len(uniq)
         if col.dtype in ("int", "float"):
             numeric = NumericSummary.of_array(view.numeric_array(name), nulls)
-    elif col.dtype == "str" and view.utf8_able(name):
-        counts = view.value_counts_any(name)
-        tokens = (
-            set(counts) if counts is not None
-            else {v for v in view.values(name) if v is not None}
-        )
-        signature.update_tokens(tokens)
-        freq = counts if counts is not None else Counter(
-            v for v in view.values(name) if v is not None
-        )
-        distinct_count = len(tokens)
-        categorical = CategoricalSummary.of_counts(freq, nulls)
+    elif col.dtype == "str" and view.values_exact(name):
+        distinct, ranks = view.ranks(name)
+        signature.update_hashes(hash_tokens(distinct), len(distinct))
+        counts = np.bincount(ranks + 1, minlength=len(distinct) + 1)[1:]
+        categorical = _categorical_of_ranked(distinct, counts, nulls)
+        distinct_count = len(distinct)
     else:
-        # any-typed / subclass-bearing: repr tokens
-        distinct = view.distinct_reprs(name)
-        signature.update_tokens(distinct)
-        non_null, _ = view.non_null(name)
-        freq = Counter(map(str, non_null))
+        # any-typed, or numeric with subclass cells: the distinct reprs it
+        # is ranked by
+        distinct, _ = view.ranks(name)
+        signature.update_hashes(hash_tokens(distinct), len(distinct))
+        freq = Counter(str(v) for v in view.values(name) if v is not None)
         distinct_count = len(distinct)
         if col.dtype in ("int", "float"):
             numeric = NumericSummary.of_array(view.numeric_array(name), nulls)
@@ -335,7 +321,7 @@ def profile_table(
     return TableProfile(
         dataset=relation.name,
         n_rows=len(relation),
-        content_hash=table_content_hash(relation),
+        content_hash=relation.content_hash(),
         columns=tuple(columns),
     )
 

@@ -354,11 +354,11 @@ class DoDEngine:
             hints_key = tuple(sorted(_hint_key(h) for h in request.hints))
         except Exception:
             return None  # exotic mapping content: stay conservative
-        examples_key = (
-            request.examples.content_hash()
-            if request.examples is not None
-            else None
-        )
+        examples_key = None
+        if request.examples is not None:
+            examples_key = request.examples.content_hash()
+            # the digest's ranks and packed rows serve profiling only
+            request.examples.columnar.release()
         return (
             tuple(request.attributes),
             request.key,

@@ -312,8 +312,10 @@ class Arbiter:
         # Pricing Engine: group offers by identical good, clear per group
         groups: dict[str, list[tuple[WTPFunction, Mashup, float, float]]] = {}
         for offer in offers:
-            key = offer[1].relation.content_hash()
-            groups.setdefault(key, []).append(offer)
+            relation = offer[1].relation
+            groups.setdefault(relation.content_hash(), []).append(offer)
+            # the digest's ranks and packed rows serve profiling only
+            relation.columnar.release()
 
         for group in groups.values():
             self._clear_group(group, result, context)

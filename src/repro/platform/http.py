@@ -134,6 +134,10 @@ WRITE_TIMEOUT = 60.0
 #: refused (422) before any of the body is read
 MAX_BODY_BYTES = 64 * 2**20
 
+#: seconds between the serve loop's shutdown checks: ``stop()`` waits up to
+#: this long for the loop to notice (stdlib's default is 0.5 s)
+_POLL_INTERVAL = 0.05
+
 
 def status_for(exc_type: type) -> int:
     """HTTP status for a ``MarketError`` subclass (500 off-taxonomy)."""
@@ -302,10 +306,7 @@ def relation_from_payload(obj: object) -> Relation:
     fields = validate_body(obj, spec)
     try:
         columns = [Column(*parts) for parts in fields["columns"]]
-        return Relation(
-            fields["name"], Schema(columns),
-            [tuple(row) for row in fields["rows"]],
-        )
+        return Relation(fields["name"], Schema(columns), fields["rows"])
     except (ReproError, TypeError) as exc:
         raise InvalidRequestError(f"invalid relation payload: {exc}") from exc
 
@@ -809,6 +810,7 @@ class MarketGateway:
         self._server.gateway = self
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(_POLL_INTERVAL,),
             name="market-gateway",
             daemon=True,
         )

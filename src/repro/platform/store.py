@@ -8,8 +8,8 @@ process **replays** state instead of re-profiling every dataset:
   license and contextual-integrity policy),
 * per-column profiles — summary statistics plus the binary MinHash
   signature (:meth:`~repro.sketches.MinHash.to_bytes`: a header and the
-  bins; replay loads them as they are),
-* the LSH band buckets each signature hashes into,
+  bins; replay loads them as they are, and rebuilds the LSH banding from
+  them),
 * the join-candidate set and the relationship graph's edges, both with
   their fan-out estimates,
 * the component fingerprints (persisted as an integrity check — replay
@@ -20,11 +20,12 @@ process **replays** state instead of re-profiling every dataset:
 all keyed by ``graph_version`` so a cold start resumes the exact version
 counter — ``as_of`` stamps stay monotonic across restarts.  The store
 records its :data:`SCHEMA_VERSION`, and a store of any other version is
-refused at open with a typed :class:`StoreError` — schema-3 stores held
-signatures densified on load and schema-2 stores signatures, band keys
-and join candidates from retired estimators, and replaying them beside
-new signatures would mix two estimators.  Re-registering the corpus is
-the migration.
+refused at open with a typed :class:`StoreError` — schema-4 stores held
+content hashes that depended on row order, schema-3 stores signatures
+densified on load and schema-2 stores signatures, band keys and join
+candidates from retired estimators; replaying any of them would mix two
+definitions of a dataset's identity or two estimators.  Re-registering
+the corpus is the migration.
 
 Durability follows the usual SQLite service recipe: WAL journaling (readers
 never block the single writer), ``synchronous=NORMAL`` (safe with WAL; an
@@ -68,13 +69,15 @@ from ..relation import Relation
 from ..sketches import MinHash
 
 #: bump on any table or payload change; a store created by a different
-#: schema version is refused rather than silently misread.  Version 4
-#: holds round-filled signatures: schema-3 payloads kept one round with
-#: empty bins for load-time densification, and schema-2 stores carried
-#: classic or rotation-densified signatures, band keys and join candidates
-#: from other estimators, so both are refused instead of replayed beside
-#: new signatures
-SCHEMA_VERSION = 4
+#: schema version is refused rather than silently misread.  Version 5
+#: holds the order-insensitive ``Relation.content_hash`` in
+#: ``datasets.content_hash`` and no LSH bucket table (replay rebuilds the
+#: banding from the signatures).  Schema-4 content hashes depended on row
+#: order, schema-3 payloads kept one round with empty bins for load-time
+#: densification, and schema-2 stores carried classic or
+#: rotation-densified signatures, band keys and join candidates from other
+#: estimators, so all are refused instead of replayed
+SCHEMA_VERSION = 5
 
 _JSON_SCALARS = (type(None), bool, int, float, str)
 
@@ -103,7 +106,6 @@ TABLES: dict[str, tuple[str, ...]] = {
         "distinct_fraction", "content_hash", "signature",
         "numeric_json", "categorical_json",
     ),
-    "lsh_buckets": ("dataset", "column_name", "band", "band_key"),
     "join_candidates": (
         "left_dataset", "left_column", "right_dataset", "right_column",
         "score", "evidence", "pk_side", "fanout_lr", "fanout_rl",
@@ -152,13 +154,6 @@ CREATE TABLE IF NOT EXISTS column_profiles (
     numeric_json      TEXT,
     categorical_json  TEXT NOT NULL,
     PRIMARY KEY (dataset, column_name)
-);
-CREATE TABLE IF NOT EXISTS lsh_buckets (
-    dataset     TEXT NOT NULL,
-    column_name TEXT NOT NULL,
-    band        INTEGER NOT NULL,
-    band_key    TEXT NOT NULL,
-    PRIMARY KEY (dataset, column_name, band)
 );
 CREATE TABLE IF NOT EXISTS join_candidates (
     left_dataset  TEXT NOT NULL,
@@ -365,8 +360,8 @@ class MarketStore:
     # -- writes ------------------------------------------------------------
     def persist_dataset(self, market, name: str) -> None:
         """Persist one accepted (registered or updated) dataset — its
-        relation, snapshot, profiles, buckets, and the market-wide derived
-        state the delta touched — in a single transaction."""
+        relation, snapshot, profiles and the market-wide derived state
+        the delta touched — in a single transaction."""
         metadata = market.metadata
         index = market.index
         snapshot = metadata.snapshot(name)
@@ -396,9 +391,6 @@ class MarketStore:
             conn.execute(
                 "DELETE FROM column_profiles WHERE dataset = ?", (name,)
             )
-            conn.execute(
-                "DELETE FROM lsh_buckets WHERE dataset = ?", (name,)
-            )
             for position, cp in enumerate(profile.columns):
                 record = column_profile_record(cp)
                 conn.execute(
@@ -413,14 +405,6 @@ class MarketStore:
                         json.dumps(record["categorical"]),
                     ),
                 )
-                for band, key in enumerate(
-                    index.lsh_band_keys(cp.signature)
-                ):
-                    conn.execute(
-                        "INSERT INTO lsh_buckets VALUES (?, ?, ?, ?)",
-                        (name, cp.column, band,
-                         ",".join(str(v) for v in key)),
-                    )
             self._rewrite_relationships(conn, market, name)
             self._finish_delta(conn, market, graph_version)
 
@@ -428,7 +412,7 @@ class MarketStore:
         """Remove one retired dataset and the derived rows that named it."""
         graph_version = market.index.graph_version
         with self._connect() as conn:
-            for table in ("datasets", "column_profiles", "lsh_buckets"):
+            for table in ("datasets", "column_profiles"):
                 conn.execute(
                     f"DELETE FROM {table} WHERE dataset = ?", (name,)
                 )

@@ -2,46 +2,45 @@
 
 The ingest cold path (profiling, sketching, content hashing) and several
 relational operators all need per-column data that the row-major tuple
-storage keeps re-deriving: the value vector, null counts, value
-frequencies, packed canonical rows, a numeric array, and — for the
-relation-level content hash and ``any``-typed columns — one canonical
-``repr`` string per value.  Relations are immutable, so all of it can be
-computed once and shared — a :class:`ColumnarView` is built lazily on
-first use and cached on the relation (``Relation.columnar``).
+storage keeps re-deriving: the value vector, null counts, packed
+canonical rows, ranks and a numeric array.
+Relations are immutable, so all of it can be computed once and shared —
+a :class:`ColumnarView` is built lazily on first use and cached on the
+relation (``Relation.columnar``).
 
-The profiler's canonical forms are **repr-free** where the dtype allows:
-exact int/float/bool columns pack into fixed-width rows
+Every column has one canonical form, **repr-free** where the dtype
+allows.  Exact int/float/bool columns pack into fixed-width rows
 (:func:`pack_value`, :meth:`ColumnarView.packed_matrix`) whose
 ``np.unique`` yields the distinct token universe and frequency table in
-one pass, and exact str columns stream their raw UTF-8
-(:meth:`ColumnarView.utf8_stream`).
+one pass.  Every other column is ranked (:meth:`ColumnarView.ranks`): each
+cell gets the int32 rank of its canonical string among the column's
+sorted distinct ones — the value itself in a str column (subclasses
+included, which ``==`` compares by content), its ``repr`` in ``any``-typed
+columns and numeric ones holding non-builtin cells — and nulls rank -1.
 
-The ``repr`` vector (:meth:`ColumnarView.reprs`) backs
-``Relation.content_hash``, which keys arbiter offers and DoD examples, and
-the profiler's fallback for columns without a repr-free encoding.  For
-columns whose dtype guarantees that equal values share one ``repr``
-(:data:`REPR_DEDUP_DTYPES`) it derives from a **single counting pass**:
-``Counter(values)`` yields the null count and the distinct value universe,
-``repr`` runs once per *distinct* value and fans out through a dict;
-float columns dedup by IEEE bit pattern instead (``0.0 == -0.0`` yet their
-reprs differ), and ``any`` columns take one ``repr`` per cell (containers
-are unhashable).  The canonical byte buffer of a column
-(:meth:`ColumnarView.canonical_bytes`: ``repr(value)`` UTF-8 encoded, each
-value followed by ``0x1f``) is the stream the profiler's fallback content
-hash digests in a single C-level call.
+Those forms give a relation its one content identity
+(:meth:`ColumnarView.content_digest`, memoized as
+``Relation.content_hash``): every row becomes a fixed-width key of its
+packed rows and ranks, and one BLAKE2b digest covers the schema, the row
+count, each ranked column's distinct values and the sorted row keys.
+Sorting makes it ignore row order; packing and ranking by value make
+cells of a typed column that ``==`` treats as equal (``1``/``1.0``,
+``0.0``/``-0.0``, ``"a"`` and a str subclass's ``"a"``) one key.  Cells of
+``any``-typed columns are told apart by ``repr``.  The profiler's
+per-column content hashes digest the same forms in row order.
 
 Values in columns with a declared scalar dtype (int/float/str/bool) are
-assumed to be plain scalars or ``None`` per schema validation; only those
-columns get the fast paths — ``any``-typed columns (which may hold lists
-or other containers) always take the row-wise reference implementations.
+assumed to be plain scalars or ``None`` per schema validation; only
+int/float/bool columns whose cells are the exact builtin types pack —
+``any``-typed columns (which may hold lists or other containers) and
+numeric columns holding subclasses (IntEnum) take ``repr``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from collections import Counter
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,36 +50,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: dtypes whose values are guaranteed hashable scalars (or None)
 SCALAR_DTYPES = frozenset(("int", "float", "str", "bool"))
 
-#: dtypes where equal values always share one ``repr`` (so per-column work
-#: can run per *distinct* value and fan out through a dict).  ``float`` is
-#: excluded: ``0.0 == -0.0`` yet their reprs differ, so value-keyed dedup
-#: could corrupt the canonical stream.  The guarantee only holds for the
-#: exact builtin types — an ``IntEnum`` equals its int but reprs
-#: differently — so eligibility also requires an observed-type check
-#: (:data:`_DEDUP_EXACT_TYPES`).
-REPR_DEDUP_DTYPES = frozenset(("int", "str", "bool"))
-
-#: per-dtype sets of *exact* runtime types under which ``repr``/``str``
-#: shortcuts are sound; subclasses (IntEnum, str subtypes) compare equal
-#: to builtins yet render differently, so observing any other type
-#: disables every value-keyed shortcut for that column.  A ``float``
-#: column may legitimately hold ints (str == repr for both).
+#: per-dtype sets of *exact* runtime types under which the packed form is
+#: sound; subclasses (IntEnum) compare equal to builtins yet pack nothing
+#: of their own, so observing any other type sends the column down the
+#: ``repr`` path.  A ``float`` column may legitimately hold ints.
 _EXACT_TYPES = {
     "int": frozenset((int, type(None))),
-    "str": frozenset((str, type(None))),
     "bool": frozenset((bool, type(None))),
     "float": frozenset((float, int, type(None))),
 }
-
-#: exact type set under which raw-bit-pattern dedup is sound for floats
-_FLOAT_ONLY_TYPES = frozenset((float, type(None)))
-
-#: columns shorter than this skip the counting pass (overhead beats reuse)
-_COUNT_MIN_ROWS = 64
-
-#: separator byte terminating each canonical value (matches the scalar
-#: content-hash loop)
-CANONICAL_SEP = "\x1f"
 
 # -- repr-free canonical packing (the sketch's numeric tokens) -------------
 #
@@ -157,40 +135,20 @@ class ColumnarView:
     """Per-column caches for one immutable relation (built lazily)."""
 
     __slots__ = (
-        "_relation", "_values", "_reprs", "_nulls", "_non_null",
-        "_counts", "_counts_any", "_repr_table", "_exact",
-        "_types", "_utf8_ok", "_packed", "_packed_distinct", "_numeric",
-        "column_hashes", "retain_text",
+        "_relation", "_values", "_nulls", "_exact", "_ranked", "_heads",
+        "_packed", "_packed_distinct", "_numeric",
     )
 
     def __init__(self, relation: "Relation"):
         self._relation = relation
-        #: set by owners of a profiling pass (the metadata engine) so
-        #: intermediate consumers like ``content_hash`` keep the text
-        #: caches alive for the rest of the pass instead of releasing
-        #: what they had to build
-        self.retain_text = False
         self._values: dict[str, tuple] = {}
-        self._reprs: dict[str, list[str]] = {}
         self._nulls: dict[str, int] = {}
-        #: (non-null values, non-null reprs) per column; aliases the full
-        #: vectors when the column has no nulls
-        self._non_null: dict[str, tuple] = {}
-        #: value -> occurrence count (None excluded), dedup dtypes only
-        self._counts: dict[str, Mapping] = {}
-        #: value -> repr (including None when present), dedup dtypes only
-        self._repr_table: dict[str, dict] = {}
+        #: per column: whether it has its dtype's repr-free form
         self._exact: dict[str, bool] = {}
-        #: observed runtime types per column (one C-level scan, cached)
-        self._types: dict[str, frozenset] = {}
-        #: ungated value counts for the profiler's str path (may cover
-        #: columns ``value_counts`` refuses; never fed back into the
-        #: repr caches)
-        self._counts_any: dict[str, Mapping | None] = {}
-        #: join-validated "every non-null cell is a str" verdicts (the
-        #: gate of the repr-free UTF-8 stream; accepts str subclasses,
-        #: whose character content is their canonical form)
-        self._utf8_ok: dict[str, bool] = {}
+        #: (sorted distinct canonical strings, int32 ranks), unpacked columns
+        self._ranked: dict[str, tuple[list[str], np.ndarray]] = {}
+        #: the encoded distinct strings of a ranked column, as hashed
+        self._heads: dict[str, bytes] = {}
         #: non-null float64 vectors recycled from the packed builders so
         #: numeric summaries skip a second per-value pass
         self._numeric: dict[str, np.ndarray] = {}
@@ -198,15 +156,12 @@ class ColumnarView:
         self._packed: dict[str, np.ndarray] = {}
         #: (distinct packed rows, counts) over non-null values
         self._packed_distinct: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        #: column content hashes memoized by the profiler (computed once
-        #: for the table digest, then reused per column profile)
-        self.column_hashes: dict[str, str] = {}
 
     # -- raw vectors -------------------------------------------------------
     def materialize(self) -> None:
         """Build every column vector in one C-level transpose — cheaper
         than per-column row scans when a consumer (the table profiler or
-        the relation content hash) is about to touch all of them anyway."""
+        the content digest) is about to touch all of them anyway."""
         relation = self._relation
         if len(self._values) >= len(relation.schema):
             return
@@ -227,144 +182,31 @@ class ColumnarView:
             self._values[name] = vals
         return vals
 
-    # -- the single counting pass (dedup dtypes) ---------------------------
-    def observed_types(self, name: str) -> frozenset:
-        """The set of runtime types present in the column (one C-level
-        scan, cached) — drives every exactness/dedup eligibility check."""
-        types = self._types.get(name)
-        if types is None:
-            types = frozenset(map(type, self.values(name)))
-            self._types[name] = types
-        return types
-
     def values_exact(self, name: str) -> bool:
-        """True when every cell is the exact builtin type the dtype
-        promises (or None) — the precondition for every repr/str
-        shortcut."""
+        """True when the column has its dtype's repr-free canonical form:
+        an int/float/bool column holds only the exact builtin types (one
+        C-level type scan), a str column only strs — subclasses included,
+        decided over its distinct values while :meth:`ranks` ranks them.
+        Cached."""
         ok = self._exact.get(name)
         if ok is None:
-            exact = _EXACT_TYPES.get(self._relation.schema[name].dtype)
-            ok = exact is not None and self.observed_types(name) <= exact
+            dtype = self._relation.schema[name].dtype
+            if dtype == "str":
+                self.ranks(name)
+                return self._exact[name]
+            exact = _EXACT_TYPES.get(dtype)
+            ok = exact is not None and frozenset(
+                map(type, self.values(name))
+            ) <= exact
             self._exact[name] = ok
         return ok
-
-    def _dedupable(self, name: str) -> bool:
-        return (
-            self._relation.schema[name].dtype in REPR_DEDUP_DTYPES
-            and len(self._relation.rows) >= _COUNT_MIN_ROWS
-            and self.values_exact(name)
-        )
-
-    def value_counts(self, name: str) -> Mapping | None:
-        """Occurrence count per distinct non-null value (one C-level
-        ``Counter`` pass), or None when counting by value is unsound for
-        the dtype (float/any) or the column is trivially small."""
-        counts = self._counts.get(name)
-        if counts is None:
-            if not self._dedupable(name):
-                return None
-            counts = Counter(self.values(name))
-            nulls = counts.pop(None, 0)
-            self._counts[name] = counts
-            self._nulls[name] = nulls
-        return counts
-
-    def value_counts_any(self, name: str) -> Mapping | None:
-        """Occurrence counts without the dedup-soundness gate (the
-        profiler counts raw values for any hashable str column).  Shares
-        an already-built :meth:`value_counts` result but caches its own —
-        the repr caches never see counts for columns they would refuse.
-        Returns None only for unhashable cells."""
-        sentinel = self._counts_any
-        if name in sentinel:
-            return sentinel[name]
-        counts = self._counts.get(name)
-        if counts is None:
-            try:
-                counts = Counter(self.values(name))
-            except TypeError:
-                sentinel[name] = None
-                return None
-            nulls = counts.pop(None, 0)
-            self._nulls.setdefault(name, nulls)
-        sentinel[name] = counts
-        return counts
-
-    def _table(self, name: str) -> dict:
-        """``value -> repr`` over the distinct universe (dedup dtypes)."""
-        table = self._repr_table.get(name)
-        if table is None:
-            counts = self.value_counts(name)
-            table = {v: repr(v) for v in counts}
-            if self._nulls[name]:
-                table[None] = "None"
-            self._repr_table[name] = table
-        return table
-
-    # -- derived vectors ---------------------------------------------------
-    def reprs(self, name: str) -> list[str]:
-        """``repr`` of every value in row order (the canonical tokens).
-
-        Dedup-dtype columns compute one repr per distinct value and fan it
-        out through the table instead of calling ``repr`` per cell."""
-        reprs = self._reprs.get(name)
-        if reprs is None:
-            values = self.values(name)
-            if self._dedupable(name):
-                reprs = list(map(self._table(name).__getitem__, values))
-            elif self._float_dedupable(name):
-                reprs = self._float_reprs(name)
-            else:
-                reprs = list(map(repr, values))
-            self._reprs[name] = reprs
-        return reprs
-
-    def _float_dedupable(self, name: str) -> bool:
-        """Float columns can't dedup by *value* (``0.0 == -0.0`` with
-        different reprs) but can dedup by raw IEEE bit pattern — equal
-        bits imply identical reprs.  Only sound when every cell is a real
-        ``float`` (ints share bit patterns with equal floats yet repr
-        differently), hence the observed-type guard."""
-        return (
-            self._relation.schema[name].dtype == "float"
-            and len(self._relation.rows) >= _COUNT_MIN_ROWS
-            and self.observed_types(name) <= _FLOAT_ONLY_TYPES
-        )
-
-    def _float_reprs(self, name: str) -> list[str]:
-        """One ``repr`` per distinct bit pattern, fanned out via
-        ``np.take`` — extends the dedup fast path to float columns."""
-        values = self.values(name)
-        n = len(values)
-        nulls = self.null_count(name)
-        if nulls:
-            mask = np.fromiter(
-                (v is None for v in values), dtype=bool, count=n
-            )
-            arr = np.fromiter(
-                (0.0 if v is None else v for v in values),
-                dtype=np.float64, count=n,
-            )
-        else:
-            mask = None
-            arr = np.fromiter(values, dtype=np.float64, count=n)
-        bits = arr.view(np.uint64)
-        uniq, inverse = np.unique(bits, return_inverse=True)
-        table = np.array(
-            [repr(float(b)) for b in uniq.view(np.float64)], dtype=object
-        )
-        out = table[inverse]
-        if mask is not None:
-            out[mask] = "None"
-        return out.tolist()
 
     def null_count(self, name: str) -> int:
         nulls = self._nulls.get(name)
         if nulls is None:
             values = self.values(name)
             if self._relation.schema[name].dtype in SCALAR_DTYPES:
-                # tuple.count is one C pass — cheaper than forcing the
-                # counting pass into existence just for the null tally
+                # tuple.count is one C pass
                 nulls = values.count(None)
             else:
                 # identity check, not __eq__: an ``any``-typed cell may
@@ -373,75 +215,114 @@ class ColumnarView:
             self._nulls[name] = nulls
         return nulls
 
-    def distinct_reprs(self, name: str) -> set[str]:
-        """Distinct reprs of the non-null values — the MinHash token
-        universe of columns without a repr-free encoding."""
-        return set(self.non_null(name)[1])
+    def release(self) -> None:
+        """Drop the derived caches (ranks and their encoded heads, packed
+        rows, numeric arrays).
 
-    def non_null(self, name: str) -> tuple[tuple, list[str]]:
-        """(non-null values, their reprs), both in row order."""
-        pair = self._non_null.get(name)
-        if pair is None:
-            values, reprs = self.values(name), self.reprs(name)
-            if self.null_count(name) == 0:
-                pair = (values, reprs)
-            else:
-                kept = [
-                    (v, r) for v, r in zip(values, reprs) if v is not None
-                ]
-                pair = (
-                    tuple(v for v, _ in kept),
-                    [r for _, r in kept],
-                )
-            self._non_null[name] = pair
-        return pair
-
-    def release_text(self) -> None:
-        """Drop the derived text caches (reprs, counts, distinct sets).
-
-        They exist to be shared across the consumers of *one* profiling
-        pass; once a dataset is registered they would otherwise stay
-        pinned for the relation's lifetime (~tens of bytes per cell).
-        The value vectors stay — they alias the row tuples' objects and
-        keep ``column()``/``project()`` fast.  Everything released is
-        rebuilt lazily if asked for again."""
-        self._reprs.clear()
-        self._non_null.clear()
-        self._counts.clear()
-        self._counts_any.clear()
-        self._repr_table.clear()
+        They exist to be shared by the content digest and the profiler in
+        *one* registration pass; afterwards they would otherwise stay
+        pinned for the relation's lifetime.  The value vectors stay — they
+        alias the row tuples' objects and keep ``column()``/``project()``
+        fast.  Everything released is rebuilt lazily if asked for
+        again."""
+        self._ranked.clear()
+        self._heads.clear()
         self._packed.clear()
         self._packed_distinct.clear()
         self._numeric.clear()
-        self.column_hashes.clear()
-
-    # -- derived buffers (computed on demand, not cached: single-use) ------
-    def canonical_bytes(self, name: str) -> bytes:
-        """The column's canonical byte buffer: ``repr`` of each value (nulls
-        included), UTF-8, each terminated by the ``0x1f`` separator — the
-        exact stream the scalar content-hash loop produces."""
-        reprs = self.reprs(name)
-        if not reprs:
-            return b""
-        return (CANONICAL_SEP.join(reprs) + CANONICAL_SEP).encode()
 
     def numeric_array(self, name: str) -> np.ndarray:
-        """Non-null values as a float64 array (numeric columns only).
-        Repr-free: reuses the vector the packed builders already cast
-        (or the cached non-null pair) when present, but never forces the
-        repr vector into existence just to drop nulls."""
+        """Non-null values as a float64 array (numeric columns only),
+        reusing the vector the packed builders already cast when
+        present."""
         cached = self._numeric.get(name)
         if cached is not None:
             return cached
-        if self.null_count(name) == 0:
-            values = self.values(name)
-        else:
-            pair = self._non_null.get(name)
-            values = (
-                pair[0] if pair is not None
-                else tuple(v for v in self.values(name) if v is not None)
-            )
+        values = self.values(name)
+        if self.null_count(name):
+            values = tuple(v for v in values if v is not None)
         return np.asarray(values, dtype=float)
+
+    # -- the content identity ----------------------------------------------
+    def content_digest(self) -> str:
+        """Order-insensitive BLAKE2b digest of the relation's schema and
+        rows, under which cells of a typed column that ``==`` treats as
+        equal are equal (see the module docstring for the row keys it
+        sorts)."""
+        relation = self._relation
+        n = len(relation.rows)
+        self.materialize()  # one transpose for all columns
+        h = hashlib.blake2b(digest_size=32)
+        h.update(repr(relation.schema).encode())
+        h.update(str(n).encode())
+        keys = []
+        for name in relation.schema.names:
+            if self.packable(name):
+                keys.append(self.packed_matrix(name))
+                continue
+            ranks = self.hash_ranked(h, name)
+            keys.append(ranks.view(np.uint8).reshape(n, 4))
+        if n and keys:
+            rows = np.hstack(keys)
+            # fixed-width bytes sort bytewise, faster than the void dtype
+            rows = rows.view(np.dtype((np.bytes_, rows.shape[1]))).ravel()
+            h.update(np.sort(rows).tobytes())
+        return h.hexdigest()
+
+    def ranks(self, name: str) -> tuple[list[str], np.ndarray]:
+        """(the column's sorted distinct canonical strings, each cell's
+        int32 rank among them, nulls -1).  A str column ranks its values
+        when they are all strs; every other unpacked column ranks the
+        ``repr`` of its cells.  One C-level ``set`` pass finds the distinct
+        values and one dict lookup per cell ranks them; the profiler
+        counts the ranks for its frequency table."""
+        pair = self._ranked.get(name)
+        if pair is None:
+            cells = self.values(name)
+            distinct = None
+            if self._relation.schema[name].dtype == "str":
+                try:
+                    distinct = set(cells)
+                except TypeError:  # unhashable cells in unvalidated rows
+                    pass
+                else:
+                    distinct.discard(None)
+                    if not all(
+                        issubclass(t, str) for t in set(map(type, distinct))
+                    ):
+                        distinct = None
+                self._exact[name] = distinct is not None
+            if distinct is None:
+                cells = [None if v is None else repr(v) for v in cells]
+                distinct = set(cells)
+                distinct.discard(None)
+            distinct = sorted(distinct)
+            rank = dict(zip(distinct, range(len(distinct))))
+            rank[None] = -1
+            ranks = np.fromiter(
+                map(rank.__getitem__, cells), dtype="<i4", count=len(cells)
+            )
+            self._nulls.setdefault(name, int(np.count_nonzero(ranks < 0)))
+            pair = self._ranked[name] = (distinct, ranks)
+        return pair
+
+    def hash_ranked(self, h, name: str) -> np.ndarray:
+        """Update the hash ``h`` with a ranked column's sorted distinct
+        strings (their count, int64 lengths and UTF-8, encoded once for
+        the content digest and the column hash) and return its cells'
+        ranks."""
+        distinct, ranks = self.ranks(name)
+        head = self._heads.get(name)
+        if head is None:
+            head = self._heads[name] = b"".join((
+                struct.pack("<q", len(distinct)),
+                np.fromiter(
+                    map(len, distinct), dtype="<i8", count=len(distinct)
+                ).tobytes(),
+                "".join(distinct).encode(),
+            ))
+        h.update(head)
+        return ranks
 
     # -- packed canonical rows (the repr-free ingest path) ------------------
     def packable(self, name: str) -> bool:
@@ -558,63 +439,31 @@ class ColumnarView:
         """(distinct packed rows over the non-null values as a (d,
         PACK_WIDTH) matrix, their occurrence counts) — the repr-free
         token universe, distinct-count numerator and frequency table in
-        one ``np.unique`` pass."""
+        one ``np.unique`` pass, in no particular row order."""
         pair = self._packed_distinct.get(name)
         if pair is None:
             mat = self.packed_matrix(name)
             if self.null_count(name):
                 mat = mat[mat[:, 0] != _TAG_NULL]
-            rows = np.ascontiguousarray(mat).view(
-                np.dtype((np.void, PACK_WIDTH))
-            ).ravel()
-            uniq, counts = np.unique(rows, return_counts=True)
-            pair = (
-                uniq.view(np.uint8).reshape(-1, PACK_WIDTH),
-                counts,
-            )
-            self._packed_distinct[name] = pair
-        return pair
-
-    def utf8_stream(self, name: str) -> tuple[np.ndarray, bytes] | None:
-        """(per-cell lengths, concatenated UTF-8 payload) — the repr-free
-        canonical stream of a str column (nulls carry length -1 and no
-        payload bytes; lengths are in characters, which uniquely delimits
-        a valid UTF-8 concatenation).
-
-        Self-validating: the ``str.join`` IS the type check (it raises on
-        any non-str cell in one C pass, far cheaper than a per-cell type
-        scan), so the method returns None for columns without a sound
-        UTF-8 stream and the verdict is cached for :meth:`utf8_able`.
-        str *subclasses* pass — their character content is their
-        canonical form under the packed/UTF-8 encoding."""
-        if self._utf8_ok.get(name) is False:
-            return None
-        values = self.values(name)
-        n = len(values)
-        try:
-            if self.null_count(name):
-                payload = "".join(
-                    v for v in values if v is not None
-                ).encode()
-                lens = np.fromiter(
-                    (-1 if v is None else len(v) for v in values),
-                    dtype=np.int64, count=n,
+            tags = mat[:, 0]
+            if len(mat) and (tags == tags[0]).all():
+                # one tag (an int or bool column): the 8-byte payloads
+                # alone tell rows apart, and uint64s sort fastest
+                uniq, counts = np.unique(
+                    np.ascontiguousarray(mat[:, 1:]).view("<u8").ravel(),
+                    return_counts=True,
                 )
+                rows = np.empty((len(uniq), PACK_WIDTH), dtype=np.uint8)
+                rows[:, 0] = tags[0]
+                rows[:, 1:] = uniq.view(np.uint8).reshape(-1, 8)
             else:
-                payload = "".join(values).encode()
-                lens = np.fromiter(map(len, values), dtype=np.int64, count=n)
-        except TypeError:
-            self._utf8_ok[name] = False
-            return None
-        self._utf8_ok[name] = True
-        return lens, payload
-
-    def utf8_able(self, name: str) -> bool:
-        """Whether the column canonicalizes through the UTF-8 stream —
-        the branch gate shared by the columnar path and the scalar
-        reference oracle (both must take the same branch for their
-        outputs to stay bit-identical)."""
-        ok = self._utf8_ok.get(name)
-        if ok is None:
-            ok = self.utf8_stream(name) is not None
-        return ok
+                # fixed-width bytes sort bytewise, faster than void
+                uniq, counts = np.unique(
+                    np.ascontiguousarray(mat).view(
+                        np.dtype((np.bytes_, PACK_WIDTH))
+                    ).ravel(),
+                    return_counts=True,
+                )
+                rows = uniq.view(np.uint8).reshape(-1, PACK_WIDTH)
+            pair = self._packed_distinct[name] = (rows, counts)
+        return pair

@@ -18,7 +18,6 @@ so every vector read is the one eager per-row tagging would have built.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SchemaError, UnknownColumnError
@@ -153,8 +152,9 @@ class Relation:
     @property
     def columnar(self) -> ColumnarView:
         """Lazily-built, memoized columnar view (per-column value vectors,
-        canonical reprs/bytes, numeric arrays).  Safe to share: the relation
-        is immutable, so the view is computed at most once per column."""
+        packed canonical rows, ranks, value counts, numeric arrays).  Safe
+        to share: the relation is immutable, so the view is computed at
+        most once per column."""
         view = self._columnar
         if view is None:
             view = self._columnar = ColumnarView(self)
@@ -199,44 +199,17 @@ class Relation:
         return "\n".join([header, sep, *body, *tail])
 
     def content_hash(self) -> str:
-        """Order-insensitive digest of schema + rows (for change detection).
-
-        Memoized (the relation is immutable, and registration hashes the
-        same relation more than once).  All-scalar relations assemble the
-        per-row ``repr`` strings from the columnar view's cached per-value
-        reprs — shared with column hashing and profiling, so each cell is
-        repr'd once per relation — and digest one joined buffer.  The
-        digest is bit-identical to the row-wise reference because
-        ``_freeze`` is the identity on scalar cells and Python's tuple
-        ``repr`` is reproduced exactly.
-        """
-        if self._chash is not None:
-            return self._chash
-        h = hashlib.sha256()
-        h.update(repr(self.schema).encode())
-        n_cols = len(self.schema)
-        if self._rows and n_cols >= 1 and self._all_scalar:
-            view = self.columnar
-            populated_before = bool(view._reprs)
-            view.materialize()
-            repr_cols = [view.reprs(n) for n in self.schema.names]
-            if n_cols == 1:
-                row_strs = [f"({r},)" for r in repr_cols[0]]
-            else:
-                row_strs = [
-                    "(%s)" % ", ".join(t) for t in zip(*repr_cols)
-                ]
-            h.update("".join(sorted(row_strs)).encode())
-            if not view.retain_text and not populated_before:
-                # nobody else is using the text caches we just built (a
-                # profiling pass sets ``retain_text``); don't leave ~tens
-                # of bytes per cell pinned on a relation that merely got
-                # hashed — the digest itself is memoized below
-                view.release_text()
-        else:
-            for row in sorted(map(repr, map(_freeze_row, self._rows))):
-                h.update(row.encode())
-        self._chash = h.hexdigest()
+        """The relation's content identity: an order-insensitive digest of
+        schema and rows under which cells of a typed column that ``==``
+        treats as equal (``1`` and ``1.0``, ``0.0`` and ``-0.0``, a str and
+        a str subclass with its characters) are equal; ``any``-typed
+        cells are told apart by ``repr``.  It keys
+        dataset versions, component fingerprints, a round's goods and the
+        plan cache's examples.  Built from the columnar view
+        (:meth:`~repro.relation.columnar.ColumnarView.content_digest`) and
+        memoized, since the relation is immutable."""
+        if self._chash is None:
+            self._chash = self.columnar.content_digest()
         return self._chash
 
     def lazy(self) -> "LeafRelation":

@@ -130,9 +130,9 @@ class CategoricalSummary:
     @classmethod
     def of(cls, values: Sequence, top_k: int = 10) -> "CategoricalSummary":
         """Value-at-a-time reference implementation (the scalar profiling
-        oracle); the columnar path builds a ``Counter`` over cached
-        canonical strings and goes through :meth:`of_counts`, which is
-        property-tested to produce identical summaries."""
+        oracle); the columnar path counts a str column's ranks, and an
+        ``any``-typed one goes through :meth:`of_counts`, both tested to
+        produce identical summaries."""
         nulls = 0
         freq: dict[str, int] = {}
         for v in values:

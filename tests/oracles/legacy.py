@@ -16,7 +16,8 @@ successor E28) and the tests that compare estimator accuracy:
 * :func:`classic_profile_table` / :func:`classic_profiling` — the
   value-at-a-time classic-scheme profiler: ``repr`` tokens folded through
   :class:`ClassicMinHash`, the ``repr`` content-hash stream per column and
-  :meth:`~repro.relation.Relation.content_hash` as the table digest.
+  :meth:`~repro.relation.Relation.content_hash`, the one content identity,
+  as the table digest.
 * :func:`legacy_ingest` — the pre-fastpath registration pipeline
   (per-value hashing loops, per-token BLAKE2b with the historical canonical
   double-wrap, dict-loop summaries, row-wise relation hashing twice per
@@ -127,11 +128,6 @@ def classic_column_content_hash(relation: Relation, name: str) -> str:
     return h.hexdigest()
 
 
-def classic_table_content_hash(relation: Relation) -> str:
-    """The classic table digest: the relation's sorted-row repr hash."""
-    return relation.content_hash()
-
-
 def classic_profile_column(
     relation: Relation, name: str, num_perm: int = 64,
     content_hash: str | None = None,
@@ -194,7 +190,7 @@ def classic_profile_table(
     return TableProfile(
         dataset=relation.name,
         n_rows=len(relation),
-        content_hash=classic_table_content_hash(relation),
+        content_hash=relation.content_hash(),
         columns=tuple(columns),
     )
 
@@ -202,9 +198,7 @@ def classic_profile_table(
 def classic_profiling():
     """Register through the classic-scheme profiler
     (:func:`classic_profile_table`)."""
-    return profiling_through(
-        classic_profile_table, classic_table_content_hash
-    )
+    return profiling_through(classic_profile_table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
-"""Profiling oracle: the value-at-a-time profiler.
+"""Profiling oracle: the value-at-a-time profiler and content identity.
 
 The columnar profiler in :mod:`repro.discovery.profiler` must produce
 bit-identical profiles — signatures, summaries and content hashes — to
 these loops, which hash one token or one packed value at a time through
 the scalar reference hash and never touch the columnar view's vectorized
-buffers.  Signatures match the production functions one-for-one
+buffers; ``Relation.content_hash`` must equal
+:func:`scalar_relation_content_hash`, which packs and ranks one cell at a
+time.  Signatures match the production functions one-for-one
 (``scalar_profile_table`` for ``profile_table``, and so on), so a
 benchmark can swap them into :class:`~repro.discovery.MetadataEngine`
-(``repro.discovery.metadata.profile_table`` / ``table_content_hash``) and
-time the oracle through the same registration path
-(:func:`scalar_profiling`; :func:`profiling_through` swaps in any other
-profiler, such as the classic-scheme one in :mod:`oracles.legacy`).
+(``repro.discovery.metadata.profile_table``) and time the oracle through
+the same registration path (:func:`scalar_profiling`;
+:func:`profiling_through` swaps in any other profiler, such as the
+classic-scheme one in :mod:`oracles.legacy`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import Counter
 from contextlib import contextmanager
 
@@ -43,46 +46,63 @@ def scalar_update_tokens(signature: MinHash, tokens) -> None:
     )
 
 
+def _scalar_canon(relation: Relation, name: str) -> list:
+    """A ranked column's canonical strings, one cell at a time: the
+    values of a str column, the ``repr`` of every other one (nulls stay
+    None)."""
+    values = relation.column(name)
+    if (
+        relation.schema[name].dtype == "str"
+        and relation.columnar.values_exact(name)
+    ):
+        return values
+    return [None if v is None else repr(v) for v in values]
+
+
+def _scalar_ranked(h, canon: list) -> list[bytes]:
+    """Hash a column's sorted distinct canonical strings into ``h`` one at
+    a time (their count, each length, each UTF-8) and return every cell's
+    int32 rank among them (nulls -1) as key bytes."""
+    distinct = sorted({c for c in canon if c is not None})
+    h.update(struct.pack("<q", len(distinct)))
+    for d in distinct:
+        h.update(struct.pack("<q", len(d)))
+    for d in distinct:
+        h.update(d.encode())
+    rank = {d: r for r, d in enumerate(distinct)}
+    return [struct.pack("<i", -1 if c is None else rank[c]) for c in canon]
+
+
 def scalar_column_content_hash(relation: Relation, name: str) -> str:
-    """Per-value loops over the stream ``column_content_hash`` digests,
-    memoized on the columnar view like the production hash."""
-    view = relation.columnar
-    cached = view.column_hashes.get(name)
-    if cached is not None:
-        return cached
-    dtype = relation.schema[name].dtype
+    """Per-value loops over the stream ``column_content_hash`` digests."""
     h = hashlib.blake2b(digest_size=16)
-    if view.packable(name):
-        for v in view.values(name):
-            h.update(pack_value(v))
-    elif dtype == "str" and view.utf8_stream(name) is not None:
-        values = view.values(name)
-        lens = np.fromiter(
-            (-1 if v is None else len(v) for v in values),
-            dtype=np.int64, count=len(values),
-        )
-        h.update(lens.astype("<i8").tobytes())
-        for v in values:
-            if v is not None:
-                h.update(v.encode())
-    else:
-        # no sound repr-free encoding: the repr stream
+    if relation.columnar.packable(name):
         for v in relation.column(name):
-            h.update(repr(v).encode())
-            h.update(b"\x1f")
-    digest = h.hexdigest()
-    view.column_hashes[name] = digest
-    return digest
+            h.update(pack_value(v))
+    else:
+        for key in _scalar_ranked(h, _scalar_canon(relation, name)):
+            h.update(key)
+    return h.hexdigest()
 
 
-def scalar_table_content_hash(relation: Relation) -> str:
-    """``table_content_hash`` over the scalar column hashes."""
-    relation.columnar.materialize()
+def scalar_relation_content_hash(relation: Relation) -> str:
+    """``Relation.content_hash`` one cell at a time: ``pack_value`` per
+    cell of a packed column, pure-Python ranks among the sorted distinct
+    values (or ``repr`` strings) of every other column, one ``bytes`` key
+    per row, and the keys sorted.  The columnar view only supplies the
+    branch gates the production digest takes."""
+    view = relation.columnar
     h = hashlib.blake2b(digest_size=32)
     h.update(repr(relation.schema).encode())
     h.update(str(len(relation)).encode())
+    keys = []  # per column, every row's key bytes
     for name in relation.schema.names:
-        h.update(scalar_column_content_hash(relation, name).encode())
+        if view.packable(name):
+            keys.append([pack_value(v) for v in relation.column(name)])
+        else:
+            keys.append(_scalar_ranked(h, _scalar_canon(relation, name)))
+    for row_key in sorted(b"".join(parts) for parts in zip(*keys)):
+        h.update(row_key)
     return h.hexdigest()
 
 
@@ -119,7 +139,7 @@ def scalar_profile_column(
         distinct_count = len(uniq)
         if col.dtype in ("int", "float"):
             numeric = NumericSummary.of_array(view.numeric_array(name), nulls)
-    elif col.dtype == "str" and view.utf8_able(name):
+    elif col.dtype == "str" and view.values_exact(name):
         tokens = {v for v in view.values(name) if v is not None}
         scalar_update_tokens(signature, tokens)
         freq = Counter(v for v in view.values(name) if v is not None)
@@ -183,25 +203,23 @@ def scalar_profile_table(
     return TableProfile(
         dataset=relation.name,
         n_rows=len(relation),
-        content_hash=scalar_table_content_hash(relation),
+        content_hash=scalar_relation_content_hash(relation),
         columns=tuple(columns),
     )
 
 
 @contextmanager
-def profiling_through(profile_table, table_content_hash):
+def profiling_through(profile_table):
     """Route :meth:`MetadataEngine.register` through another profiler:
-    swap the profiler and table hash the engine module calls, restoring
-    them on exit."""
-    saved = metadata.profile_table, metadata.table_content_hash
+    swap the profiler the engine module calls, restoring it on exit."""
+    saved = metadata.profile_table
     metadata.profile_table = profile_table
-    metadata.table_content_hash = table_content_hash
     try:
         yield
     finally:
-        metadata.profile_table, metadata.table_content_hash = saved
+        metadata.profile_table = saved
 
 
 def scalar_profiling():
     """Register through the scalar oracle (:func:`scalar_profile_table`)."""
-    return profiling_through(scalar_profile_table, scalar_table_content_hash)
+    return profiling_through(scalar_profile_table)

@@ -1,10 +1,13 @@
 """End-to-end tests of the Arbiter (Fig. 2's full pipeline)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.datagen import make_classification_world
 from repro.errors import MarketError
+from repro.integration.plan import Mashup
 from repro.market import (
     Arbiter,
     BuyerPlatform,
@@ -14,6 +17,8 @@ from repro.market import (
     external_market,
     internal_market,
 )
+from repro.mechanisms import VickreyAuction
+from repro.relation import Relation
 from repro.wtp import PriceCurve, WTPFunction
 
 
@@ -90,6 +95,57 @@ def test_competition_generates_revenue(world):
     # lineage lets sellers audit their sales
     alice_platform_revenue = arbiter.lineage.revenue_of("seller_0")
     assert alice_platform_revenue > 0
+
+
+def test_equal_offers_clear_as_one_good(world, monkeypatch):
+    """Offers whose relations are ``==`` are one good: one buyer's mashup
+    holds ``1`` where the other's holds ``1.0``, and the two bids meet in
+    one second-price auction instead of each winning its own."""
+    design = replace(external_market(), mechanism=VickreyAuction(k=1))
+    arbiter, *_ = build_market(world, design=design)
+    for buyer, price in (("b0", 100.0), ("b1", 90.0)):
+        platform = BuyerPlatform(buyer)
+        arbiter.register_participant(buyer, funding=500.0)
+        arbiter.attach_buyer_platform(platform)
+        platform.submit(
+            arbiter,
+            classification_wtp(platform, world, steps=((0.7, price),)),
+        )
+    best_offer = arbiter._best_offer
+
+    def offer_with_one(wtp, result):
+        offer = best_offer(wtp, result)
+        mashup = offer[1]
+        rel = mashup.relation
+        i = rel.schema.position("f0")
+        one = 1 if wtp.buyer == "b0" else 1.0
+        rows = [rel.rows[0][:i] + (one,) + rel.rows[0][i + 1:]]
+        retyped = Relation(rel.name, rel.schema, rows + list(rel.rows[1:]))
+        return (wtp, Mashup(mashup.plan, retyped, mashup.matched,
+                            mashup.missing), *offer[2:])
+
+    monkeypatch.setattr(arbiter, "_best_offer", offer_with_one)
+    result = arbiter.run_round()
+    assert result.transactions == 1
+    assert result.deliveries[0].buyer == "b0"
+    assert [r.buyer for r in result.rejections] == ["b1"]
+    assert "outbid" in result.rejections[0].reason
+
+
+def test_grouping_offers_does_not_pin_digest_caches(world):
+    """Grouping offers hashes each mashup; the ranks and packed rows the
+    digest builds are released, not pinned on the delivered relation."""
+    arbiter, *_ = build_market(world)
+    buyer = BuyerPlatform("b1")
+    arbiter.register_participant("b1", funding=500.0)
+    arbiter.attach_buyer_platform(buyer)
+    buyer.submit(arbiter, classification_wtp(buyer, world))
+    result = arbiter.run_round()
+    relation = result.deliveries[0].mashup.relation
+    assert relation._chash is not None
+    view = relation._columnar
+    assert not (view._ranked or view._packed or view._packed_distinct
+                or view._numeric)
 
 
 def test_rejection_when_satisfaction_below_threshold(world):

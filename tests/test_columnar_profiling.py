@@ -6,23 +6,31 @@ value-at-a-time scalar implementation (``oracles.profiling``), over
 randomized dtypes and edge shapes (nulls, non-ASCII strings, empty
 columns/relations, ``any``-typed containers).  The oracle always gets an
 equal relation with its own columnar view (:func:`fresh`), so it never
-reads the column hashes the production path memoized."""
+reads the caches the production path built.  The relation's content
+identity is pinned the same way, plus the law it exists for: it ignores
+row order, and two NaN-free relations compare ``==`` exactly when their
+digests match, as long as no ``any``-typed column mixes cells that ``==``
+equates but ``repr`` tells apart (``1``, ``1.0``, ``True``)."""
 
 from __future__ import annotations
 
-import hashlib
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.profiling import (
     scalar_column_content_hash,
     scalar_profile_table,
     scalar_profiling,
+    scalar_relation_content_hash,
 )
 from repro.discovery import MetadataEngine, metadata
 from repro.discovery.profiler import (
+    _categorical_of_ranked,
     column_content_hash,
     name_similarity,
     profile_column,
@@ -97,7 +105,7 @@ def random_relation(seed: int, n_rows: int | None = None) -> Relation:
 
 def fresh(relation: Relation) -> Relation:
     """An equal relation with its own columnar view: the oracle must not
-    read the column hashes the columnar path memoized on the view."""
+    read the caches the columnar path built on the view."""
     return Relation(relation.name, relation.schema, relation.rows)
 
 
@@ -132,9 +140,8 @@ def test_columnar_profile_bit_identical_to_scalar_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_columnar_profile_identical_on_large_relations(seed):
-    """Relations past the single-counting-pass threshold (64 rows) engage
-    the fused Counter/dedup machinery — the small-relation tests above
-    take the direct per-value route, so both must be pinned."""
+    """Larger relations: duplicates in every column, so the distinct
+    universes and frequency tables are much smaller than the columns."""
     relation = random_relation(seed, n_rows=150)
     columnar = profile_table(relation)
     scalar = scalar_profile_table(fresh(relation))
@@ -142,9 +149,10 @@ def test_columnar_profile_identical_on_large_relations(seed):
 
 
 def test_subclass_values_disable_dedup_and_stay_identical():
-    """Values that compare equal to builtins but repr differently (IntEnum,
-    str subclasses) must not be collapsed by the value-keyed dedup pass —
-    both modes and both row orders must agree."""
+    """Numeric subclass cells (IntEnum) compare equal to builtins but
+    pack nothing of their own, so their column takes the ``repr`` path in
+    both modes and both row orders; a str subclass is ranked by its
+    characters, so its column hashes like the plain one."""
     from enum import IntEnum
 
     class Color(IntEnum):
@@ -170,13 +178,19 @@ def test_subclass_values_disable_dedup_and_stay_identical():
         "tags", [("s", "str")],
         [(Tag("x"),)] * 40 + [("x",)] * 40,
     )
+    plain = Relation("tags", [("s", "str")], [("x",)] * 80)
     assert column_content_hash(tagged, "s") == (
         scalar_column_content_hash(fresh(tagged), "s")
+    ) == column_content_hash(plain, "s")
+    assert tagged.content_hash() == plain.content_hash()
+    assert_profiles_identical(
+        profile_table(tagged), scalar_profile_table(fresh(tagged))
     )
 
 
 def test_columnar_profile_identical_on_duplicate_heavy_columns():
-    """Dup-heavy repr-stable columns exercise the value->repr fan-out."""
+    """Dup-heavy columns exercise the packed ``np.unique`` universes and
+    the counted str summaries."""
     rng = np.random.default_rng(41)
     cols = [
         Column("cat", "str"), Column("small_int", "int"),
@@ -221,24 +235,16 @@ def test_profile_of_all_null_column_matches():
 
 
 def test_column_content_hash_matches_legacy_stream():
-    """Columns without a repr-free encoding (``any``-typed ones) hash the
-    historical per-value BLAKE2b repr stream; every column's hash matches
-    the scalar oracle."""
-    checked = 0
+    """Every column's hash, ``any``-typed ones included (ranked by
+    ``repr``), matches the scalar oracle's value-at-a-time stream."""
+    checked = set()
     for seed in range(8):
         relation = random_relation(seed)
         for name in relation.columns:
             digest = column_content_hash(relation, name)
             assert digest == scalar_column_content_hash(fresh(relation), name)
-            if relation.schema[name].dtype != "any":
-                continue
-            h = hashlib.blake2b(digest_size=16)
-            for v in relation.column(name):
-                h.update(repr(v).encode())
-                h.update(b"\x1f")
-            assert digest == h.hexdigest()
-            checked += 1
-    assert checked  # the seeds include any-typed columns
+            checked.add(relation.schema[name].dtype)
+    assert checked == {"int", "float", "str", "bool", "any"}
 
 
 def test_profile_signature_equals_minhash_of_raw_values():
@@ -363,49 +369,132 @@ def test_any_dtype_cells_with_array_equality_profile_identically():
     )
 
 
-def test_content_hash_alone_does_not_pin_text_caches():
-    """Hashing a relation that is not mid-profiling (e.g. the arbiter
-    fingerprinting a cached mashup) must not leave per-cell repr strings
-    pinned on the relation."""
-    relation = Relation(
-        "plain", [("a", "int"), ("b", "str")],
-        [(i, f"v{i % 7}") for i in range(100)],
-    )
-    legacy = _legacy_relation_content_hash(relation)
-    assert relation.content_hash() == legacy
-    view = relation._columnar
-    assert view is not None and not view._reprs and not view._counts
-    # profiling afterwards still works and agrees with the oracle
-    assert_profiles_identical(
-        profile_table(relation), scalar_profile_table(fresh(relation))
-    )
-
-
 # ---------------------------------------------------------------------------
-# relation-level fast paths
+# relation-level fast paths: the content identity
 # ---------------------------------------------------------------------------
-
-def _legacy_relation_content_hash(relation: Relation) -> str:
-    from repro.relation.relation import _freeze_row
-
-    h = hashlib.sha256()
-    h.update(repr(relation.schema).encode())
-    for row in sorted(map(repr, map(_freeze_row, relation.rows))):
-        h.update(row.encode())
-    return h.hexdigest()
-
 
 @pytest.mark.parametrize("seed", range(12))
 def test_relation_content_hash_matches_legacy_and_memoizes(seed):
+    """The columnar digest, which replaced the legacy repr digest, equals
+    the value-at-a-time reference loop and is memoized."""
     relation = random_relation(seed)
-    legacy = _legacy_relation_content_hash(relation)
-    assert relation.content_hash() == legacy
-    assert relation.content_hash() == legacy  # memoized second call
+    expected = scalar_relation_content_hash(fresh(relation))
+    assert relation.content_hash() == expected
+    assert relation._chash == expected
+    assert relation.content_hash() is relation.content_hash()
 
 
 def test_single_column_relation_content_hash_matches_legacy():
     relation = Relation("one", [("a", "str")], [("x",), ("y",), ("x",)])
-    assert relation.content_hash() == _legacy_relation_content_hash(relation)
+    assert relation.content_hash() == (
+        scalar_relation_content_hash(fresh(relation))
+    )
+
+
+class _Tag(str):
+    """A str subclass: ranked by its character content, as ``==`` compares
+    it with a plain str."""
+
+
+#: plain strings never start with ``~`` and tagged ones always do, so no
+#: two cells of one column are ``==`` across types — ``Relation.__eq__``
+#: orders cells by type name, which would tell such bags apart
+_PLAIN = st.text(alphabet="ab\x1f'é", max_size=3)
+
+_CELLS = {
+    "int": st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([2**63 - 1, 2**63, -(2**70)]),
+    ),
+    "float": st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, math.nan]),
+        st.integers(-2, 2),
+        st.floats(),
+    ),
+    "str": st.one_of(_PLAIN, _PLAIN.map(lambda t: _Tag("~" + t))),
+    "bool": st.booleans(),
+    # no floats or bools (``1 == 1.0 == True`` with three reprs) and no
+    # tuples beside the lists (``Relation.__eq__`` freezes lists to tuples)
+    "any": st.one_of(
+        st.integers(-3, 3), _PLAIN, st.lists(st.integers(0, 2), max_size=2),
+    ),
+}
+
+
+def _cell(dtype: str):
+    return st.one_of(st.none(), _CELLS[dtype])
+
+
+@st.composite
+def _relations(draw):
+    dtypes = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                           max_size=4))
+    rows = draw(st.lists(
+        st.tuples(*map(_cell, dtypes)), max_size=12,
+    ))
+    return Relation(
+        "r", [(f"c{i}", d) for i, d in enumerate(dtypes)], rows
+    )
+
+
+def _equal_cell(value):
+    """Another cell ``==`` to a float-column cell: ``1`` <-> ``1.0``,
+    ``0.0`` <-> ``-0.0``."""
+    if type(value) is int:
+        return float(value)
+    if type(value) is float and value == 0:
+        return -value
+    if type(value) is float and value.is_integer() and abs(value) < 2**53:
+        return int(value)
+    return value
+
+
+def _has_nan(relation: Relation) -> bool:
+    return any(v != v for row in relation.rows for v in row
+               if isinstance(v, float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation=_relations(), data=st.data())
+def test_content_hash_is_order_insensitive_equality(relation, data):
+    digest = relation.content_hash()
+    assert digest == scalar_relation_content_hash(fresh(relation))
+    rows = data.draw(st.permutations([list(r) for r in relation.rows]))
+    permuted = Relation("p", relation.schema, [tuple(r) for r in rows])
+    assert permuted.content_hash() == digest
+    if rows:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(0, len(relation.schema) - 1))
+        dtype = relation.schema.columns[c].dtype
+        near_miss = data.draw(st.sampled_from(["change", "swap", "equal"]))
+        if near_miss == "change":
+            rows[i][c] = data.draw(_cell(dtype))
+        elif near_miss == "swap":
+            rows[i][c], rows[j][c] = rows[j][c], rows[i][c]
+        elif dtype == "float":
+            rows[i][c] = _equal_cell(rows[i][c])
+    other = Relation("o", relation.schema, [tuple(r) for r in rows])
+    assert other.content_hash() == scalar_relation_content_hash(fresh(other))
+    if not (_has_nan(relation) or _has_nan(other)):
+        assert (relation == other) == (other.content_hash() == digest)
+
+
+@pytest.mark.parametrize("left, right, equal", [
+    # ``==`` across int/float and the sign of zero, in another order
+    ([(1, "a"), (0.0, "b")], [(-0.0, "b"), (1.0, "a")], True),
+    # one cell changed
+    ([(1, "a"), (2.0, "b")], [(1, "a"), (2.5, "b")], False),
+    # two cells of one column swapped between rows
+    ([(1, "a"), (2.0, "b")], [(1, "b"), (2.0, "a")], False),
+    # a str subclass holding the same characters as a plain str
+    ([(1, "a")], [(1, _Tag("a"))], True),
+])
+def test_content_hash_near_misses(left, right, equal):
+    schema = [("x", "float"), ("s", "str")]
+    a, b = Relation("a", schema, left), Relation("b", schema, right)
+    assert (a == b) is equal
+    assert (a.content_hash() == b.content_hash()) is equal
 
 
 def test_projection_and_column_match_row_loop():
@@ -440,27 +529,32 @@ def test_distinct_fast_path_matches_freeze_path():
 
 
 # ---------------------------------------------------------------------------
-# satellite fixes: O(1) TableProfile.column, memoized name_similarity,
-#                  heavy-hitter selection
+# satellite fixes: cache release, O(1) TableProfile.column, memoized
+#                  name_similarity, heavy-hitter selection
 # ---------------------------------------------------------------------------
 
-def test_release_text_drops_and_rebuilds_caches():
-    relation = random_relation(9, n_rows=100)
+def test_release_drops_and_rebuilds_caches():
+    relation = Relation(
+        "r", [("a", "int"), ("s", "str"), ("x", "float")],
+        [(i % 7, f"v{i % 5}", i / 4) for i in range(100)],
+    )
     view = relation.columnar
     before = {
         n: column_content_hash(relation, n) for n in relation.columns
     }
-    assert view._reprs
-    view.release_text()
-    assert not view._reprs and not view._counts
+    digest = view.content_digest()
+    assert view._packed and view._ranked and view._numeric
+    view.release()
+    assert not (view._packed or view._ranked or view._heads or view._numeric)
     # rebuilt lazily, bit-identically
     after = {
         n: column_content_hash(relation, n) for n in relation.columns
     }
     assert after == before
+    assert view.content_digest() == digest
 
 
-def test_metadata_register_releases_text_caches():
+def test_metadata_register_releases_caches():
     from repro.discovery.metadata import MetadataEngine
 
     relation = random_relation(4, n_rows=100)
@@ -468,7 +562,8 @@ def test_metadata_register_releases_text_caches():
     engine.register(relation)
     view = relation._columnar
     assert view is not None
-    assert not view._reprs and not view._counts
+    assert not (view._packed or view._packed_distinct or view._ranked
+                or view._numeric)
     assert relation.column(relation.columns[0]) is not None  # still works
 
 
@@ -538,3 +633,20 @@ def test_of_counts_equals_full_sort_reference():
         assert got.nulls == 3
         values = [v for v, c in freq.items() for _ in range(c)]
         assert got == CategoricalSummary.of(values + [None] * 3)
+
+
+def test_ranked_categorical_equals_of_counts():
+    """A str column's summary from its counted ranks equals ``of_counts``
+    on the same counts, across all three of its branches (few distinct,
+    all unique, ties at the top-k threshold)."""
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        n = int(rng.integers(0, 300))
+        keys = sorted({f"v{int(i)}" for i in rng.choice(10_000, size=n)})
+        high = 1 if trial % 3 == 0 else int(rng.integers(2, 6))
+        counts = rng.integers(1, high + 1, size=len(keys))
+        got = _categorical_of_ranked(keys, counts, nulls=2)
+        want = CategoricalSummary.of_counts(
+            Counter(dict(zip(keys, counts.tolist()))), nulls=2
+        )
+        assert got == want, trial

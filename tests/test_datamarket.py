@@ -92,6 +92,24 @@ def test_update_dataset_bumps_version_and_flags_not_created():
     assert r2.version == 2
 
 
+def test_update_with_reordered_rows_is_the_same_version():
+    """A dataset's identity ignores row order: the same rows in reverse
+    are no new version, no graph delta and no fingerprint change."""
+    market = DataMarket(internal_market())
+    first = market.register_dataset(
+        make_dataset("ds_a", ["alpha", "beta"]), seller="s0"
+    )
+    market.register_dataset(make_dataset("ds_b", ["gamma"]), seller="s1")
+    graph_version = market.graph_version
+    fingerprints = market.index.component_fingerprints()
+    original = make_dataset("ds_a", ["alpha", "beta"])
+    reversed_rows = Relation("ds_a", original.schema, original.rows[::-1])
+    again = market.update_dataset(reversed_rows, seller="s0")
+    assert again.version == first.version == 1
+    assert market.graph_version == graph_version
+    assert market.index.component_fingerprints() == fingerprints
+
+
 def test_update_unknown_dataset_is_typed_error():
     market = DataMarket(internal_market())
     with pytest.raises(DatasetNotFoundError):

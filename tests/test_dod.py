@@ -102,6 +102,27 @@ def test_plan_describe_mentions_joins(builder):
     assert "join" in description and "project" in description
 
 
+def test_example_cache_key_does_not_pin_digest_caches(builder):
+    """The plan cache keys a query-by-example request by the examples'
+    content hash; the ranks and packed rows the digest builds are
+    released, not pinned on the buyer's relation."""
+    examples = Relation(
+        "examples",
+        [Column("customer_id", "int", "customer"), Column("city", "str")],
+        [(i, "oslo" if i % 2 else "rome") for i in range(6)],
+    )
+    request = MashupRequest(
+        attributes=["customer_id", "city", "amount"],
+        key="customer_id",
+        examples=examples,
+    )
+    builder.build(request)
+    assert examples._chash is not None
+    view = examples._columnar
+    assert not (view._ranked or view._packed or view._packed_distinct
+                or view._numeric)
+
+
 def test_intro_scenario_synthesis_of_f_prime():
     """The paper's Section 1 example: buyer needs d, seller has f(d)."""
     sc = intro_scenario(seed=3, n_entities=200)

@@ -18,9 +18,9 @@ The properties under test:
 * **the operation table** — every entry of ``OPERATIONS`` round-trips: a
   client call returns what the in-process service returns (or its view);
 * **connections** — a client keeps one connection across calls and shares
-  its connections between threads, ``stop()`` hangs up on live
-  connections, a restarted gateway is reached without a request being
-  sent twice, a burst of new connections fits the accept queue, and any
+  its connections between threads, ``stop()`` returns promptly and hangs
+  up on live connections, a restarted gateway is reached without a request
+  being sent twice, a burst of new connections fits the accept queue, and any
   verb (``HEAD`` included) gets a JSON answer that keeps the connection
   usable.
 """
@@ -734,6 +734,23 @@ def test_stop_hangs_up_on_live_connections():
         held.close()
         gw.stop()
         service.close()
+
+
+def test_stop_returns_promptly():
+    """``stop()`` waits for the serve loop's next shutdown check, which
+    comes a short poll interval apart, not stdlib's half second."""
+    service = MarketService(DataMarket())
+    gw = MarketGateway(service).start()
+    try:
+        with client(gw) as c:
+            assert c.healthz()["status"] == "ok"
+        start = time.perf_counter()
+        gw.stop()
+        elapsed = time.perf_counter() - start
+    finally:
+        gw.stop()
+        service.close()
+    assert elapsed < 0.2
 
 
 def test_restarted_gateway_is_reached_and_a_write_applies_once():

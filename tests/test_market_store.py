@@ -2,10 +2,10 @@
 
 The property under test is *bit-identical replay*: a market cold-started
 from the store must answer exactly like the process that wrote it — same
-``graph_version``, same column profiles (signatures included), same LSH
-buckets, same join candidates and graph edges with their fan-out
-estimates, same search and plan results.  Plus the service reads the store
-answers directly: keyset-cursor listing and FTS dataset search.
+``graph_version``, same column profiles (signatures included), same join
+candidates and graph edges with their fan-out estimates, same search and
+plan results.  Plus the service reads the store answers directly:
+keyset-cursor listing and FTS dataset search.
 """
 
 from __future__ import annotations
@@ -122,30 +122,6 @@ def test_replayed_search_and_plan_answers_match(tmp_path, seed):
     for a, b in zip(p_live.mashups, p_new.mashups):
         assert a.plan.describe() == b.plan.describe()
         assert a.relation.rows == b.relation.rows
-
-
-def test_lsh_buckets_table_matches_live_banding(tmp_path):
-    """The persisted band keys are exactly the ones the live index derives
-    from each signature — buckets reconstruct deterministically."""
-    live, path = seeded_store_market(tmp_path)
-    import sqlite3
-
-    conn = sqlite3.connect(path)
-    stored = {
-        (ds, col, band): key
-        for ds, col, band, key in conn.execute(
-            "SELECT dataset, column_name, band, band_key FROM lsh_buckets"
-        )
-    }
-    conn.close()
-    expected = {}
-    for ds in live.datasets:
-        for cp in live.metadata.snapshot(ds).profile.columns:
-            for band, key in enumerate(live.index.lsh_band_keys(cp.signature)):
-                expected[(ds, cp.column, band)] = ",".join(
-                    str(v) for v in key
-                )
-    assert stored == expected
 
 
 def test_updates_and_retires_replay_to_final_state(tmp_path):
@@ -334,15 +310,19 @@ def test_text_search_limit_rejected_before_sql(tmp_path, limit):
 
 
 def test_schema_version_mismatch_refused(tmp_path):
-    path = tmp_path / "market.db"
-    MarketStore(path)
+    """A store of the previous layout (schema 4: row-order content hashes
+    and an LSH bucket table) is refused like one of an unknown version."""
     import sqlite3
 
-    conn = sqlite3.connect(path)
-    conn.execute(
-        "UPDATE store_meta SET value = '999' WHERE key = 'schema_version'"
-    )
-    conn.commit()
-    conn.close()
-    with pytest.raises(StoreError):
+    for version in ("4", "999"):
+        path = tmp_path / f"market{version}.db"
         MarketStore(path)
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE store_meta SET value = ? WHERE key = 'schema_version'",
+            (version,),
+        )
+        conn.commit()
+        conn.close()
+        with pytest.raises(StoreError, match=f"schema version {version}"):
+            MarketStore(path)
