@@ -6,11 +6,11 @@ Plan results carry unevaluated relation trees — ``materialize`` (or
 ``PlanResult.collect``) runs them on the pipelined columnar engine.
 """
 
+import importlib
+
 from .market import DataMarket
 from .service import MarketService, PinnedView, ServiceError, WriteTicket
 from .store import MarketStore, StoreError
-from .http import MarketGateway, RateLimiter, STATUS_BY_ERROR, status_for
-from .client import MarketClient
 from .results import (
     DeliveryView,
     DisputeResult,
@@ -32,6 +32,24 @@ from .results import (
     TrustReport,
     WTPReceipt,
 )
+
+#: loaded on first access (PEP 562), so ``python -m repro.platform.http``
+#: runs the one copy of the module that the package never imported
+_LAZY = {
+    "MarketGateway": "http",
+    "RateLimiter": "http",
+    "STATUS_BY_ERROR": "http",
+    "status_for": "http",
+    "MarketClient": "client",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "DataMarket",

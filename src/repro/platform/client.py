@@ -41,14 +41,10 @@ from urllib.parse import urlencode, urlsplit
 from .. import errors as _errors
 from ..errors import MarketError, RateLimitError
 from ..relation import Relation
+from ..relation.codec import relation_from_payload as relation_from_wire
+from ..relation.codec import relation_to_payload
 from ..wtp import WTPFunction
-from .http import (
-    OPERATIONS,
-    encode_request,
-    from_wire,
-    relation_from_payload,
-    relation_to_payload,
-)
+from .http import OPERATIONS, encode_request, from_wire
 from .results import (
     GatewayPlanResult,
     ParticipantResult,
@@ -68,9 +64,6 @@ __all__ = [
     "relation_from_wire",
     "relation_to_payload",
 ]
-
-#: the relation codec under its client-side names
-relation_from_wire = relation_from_payload
 
 #: error type name -> exception class, for rebuilding typed errors from
 #: structured error bodies (names outside the taxonomy raise MarketError)

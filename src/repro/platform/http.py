@@ -75,11 +75,11 @@ from ..errors import (
     MarketError,
     NegotiationError,
     RateLimitError,
-    ReproError,
     UnknownParticipantError,
 )
 from ..market.licensing import ContextualIntegrityPolicy, License, LicenseKind
-from ..relation import Column, Relation, Schema
+from ..relation import Relation
+from ..relation.codec import relation_from_payload, relation_to_payload
 from ..wtp import (
     ExplorationTask,
     PriceCurve,
@@ -99,7 +99,7 @@ from .results import (
     round_view,
 )
 from .service import MarketService, ServiceError, WriteTicket
-from .store import MarketStore, StoreError
+from .store import MarketStore, StoreError, _untuple
 
 #: the single MarketError-taxonomy -> HTTP status mapping.  Resolution
 #: walks an exception's MRO and takes the *first* (most-derived) entry, so
@@ -133,6 +133,11 @@ WRITE_TIMEOUT = 60.0
 #: largest request body the gateway reads; a longer ``Content-Length`` is
 #: refused (422) before any of the body is read
 MAX_BODY_BYTES = 64 * 2**20
+
+#: the start of a ``\uDxxx`` escape, the only way a JSON body can carry
+#: a surrogate (raw surrogate bytes are not UTF-8); escapes of U+D000 to
+#: U+D7FF match too and pass the check they lead to
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD]")
 
 #: seconds between the serve loop's shutdown checks: ``stop()`` waits up to
 #: this long for the loop to notice (stdlib's default is 0.5 s)
@@ -279,37 +284,9 @@ class RateLimiter:
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs (shared with the typed client)
+# JSON codecs (shared with the typed client; a relation's is
+# ``relation_to_payload``/``relation_from_payload`` of repro.relation.codec)
 # ---------------------------------------------------------------------------
-
-def relation_to_payload(relation: Relation) -> dict:
-    """A relation as a JSON-safe payload (columns + row lists)."""
-    return {
-        "name": relation.name,
-        "columns": [
-            [c.name, c.dtype, c.semantic] for c in relation.schema.columns
-        ],
-        "rows": [list(row) for row in relation.rows],
-    }
-
-
-def relation_from_payload(obj: object) -> Relation:
-    """Rebuild a relation from its payload; any shape or schema problem
-    becomes a typed 422, never a bare ``SchemaError``."""
-    if not isinstance(obj, dict):
-        raise InvalidRequestError("relation payload must be a JSON object")
-    spec = {
-        "name": Field(str, non_empty=True),
-        "columns": Field(list, non_empty=True, item_types=(list,)),
-        "rows": Field(list, default=[]),
-    }
-    fields = validate_body(obj, spec)
-    try:
-        columns = [Column(*parts) for parts in fields["columns"]]
-        return Relation(fields["name"], Schema(columns), fields["rows"])
-    except (ReproError, TypeError) as exc:
-        raise InvalidRequestError(f"invalid relation payload: {exc}") from exc
-
 
 def license_from_payload(obj: object) -> License | None:
     if obj is None:
@@ -489,12 +466,6 @@ def _codec(hint) -> tuple[Callable | None, Callable | None]:
 
 def _optional(code: Callable | None) -> Callable | None:
     return code and (lambda value: None if value is None else code(value))
-
-
-def _untuple(data):
-    if isinstance(data, list):
-        return tuple(_untuple(v) for v in data)
-    return data
 
 
 def to_wire(value):
@@ -941,7 +912,9 @@ class MarketGateway:
             return {}
         try:
             parsed = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (
+            UnicodeDecodeError, json.JSONDecodeError, RecursionError
+        ) as exc:
             raise InvalidRequestError(
                 f"request body is not valid JSON: {exc}"
             ) from None
@@ -949,6 +922,16 @@ class MarketGateway:
             raise InvalidRequestError(
                 "request body must be a JSON object"
             )
+        if _SURROGATE_ESCAPE.search(body):
+            # json.loads joins an escaped pair into one code point but
+            # keeps a lone surrogate, which no UTF-8 consumer can take
+            try:
+                json.dumps(parsed, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise InvalidRequestError(
+                    "request body holds a lone surrogate escape (\\ud800-"
+                    "\\udfff), which is not a character"
+                ) from None
         return parsed
 
     # -- handlers ----------------------------------------------------------

@@ -65,6 +65,7 @@ from ..market.negotiation import InfoRequest
 from ..market.trusts import DataTrust
 from ..mashup import MashupBuilder
 from ..relation import Relation, Schema
+from ..relation.codec import relation_to_payload
 from ..wtp import WTPFunction
 from .store import MarketStore
 from .results import (
@@ -303,6 +304,11 @@ class DataMarket:
     def _accept(
         self, relation, seller, reserve_price, license, policy, created
     ) -> RegisterResult:
+        # encoded before any engine changes: a cell the store cannot hold
+        # is refused with the market untouched
+        payload = (
+            relation_to_payload(relation) if self._store is not None else None
+        )
         self.arbiter.accept_dataset(
             relation,
             seller=seller,
@@ -312,7 +318,12 @@ class DataMarket:
         )
         snapshot = self.metadata.snapshot(relation.name)
         if self._store is not None:
-            self._store.persist_dataset(self, relation.name)
+            held = self.metadata.relation(relation.name)
+            if held is not relation:
+                # unchanged content keeps the rows already held (and
+                # stored), so the store goes on matching memory
+                payload = relation_to_payload(held)
+            self._store.persist_dataset(self, relation.name, payload)
         return RegisterResult(
             dataset=relation.name,
             seller=seller,

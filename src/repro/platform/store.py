@@ -4,8 +4,9 @@ The paper's DMMS is an *always-on* service; this module gives the façade a
 crash-safe home for everything the discovery stack derives, so a restarted
 process **replays** state instead of re-profiling every dataset:
 
-* dataset metadata (relation payload, snapshot lineage, seller, reserve,
-  license and contextual-integrity policy),
+* dataset metadata (the relation, as the one JSON payload of
+  :mod:`repro.relation.codec` that the HTTP gateway also speaks; snapshot
+  lineage, seller, reserve, license and contextual-integrity policy),
 * per-column profiles — summary statistics plus the binary MinHash
   signature (:meth:`~repro.sketches.MinHash.to_bytes`: a header and the
   bins; replay loads them as they are, and rebuilds the LSH banding from
@@ -18,14 +19,17 @@ process **replays** state instead of re-profiling every dataset:
   serialization are simply not persisted),
 
 all keyed by ``graph_version`` so a cold start resumes the exact version
-counter — ``as_of`` stamps stay monotonic across restarts.  The store
-records its :data:`SCHEMA_VERSION`, and a store of any other version is
-refused at open with a typed :class:`StoreError` — schema-4 stores held
-content hashes that depended on row order, schema-3 stores signatures
-densified on load and schema-2 stores signatures, band keys and join
-candidates from retired estimators; replaying any of them would mix two
-definitions of a dataset's identity or two estimators.  Re-registering
-the corpus is the migration.
+counter — ``as_of`` stamps stay monotonic across restarts.  Every stored
+value is JSON, SQL scalars or signature bytes, so reading a store runs no
+code it holds; a relation that does not decode fails replay with a typed
+:class:`StoreError`.  The store records its :data:`SCHEMA_VERSION`, and a
+store of any other version is refused at open with a :class:`StoreError` —
+schema-5 stores could hold rows in a binary format whose loading runs
+code, schema-4 stores content hashes that depended on row order, schema-3
+stores signatures densified on load and schema-2 stores signatures, band
+keys and join candidates from retired estimators; replaying any of them
+would run stored code or mix two definitions of a dataset's identity or
+two estimators.  Re-registering the corpus is the migration.
 
 Durability follows the usual SQLite service recipe: WAL journaling (readers
 never block the single writer), ``synchronous=NORMAL`` (safe with WAL; an
@@ -43,7 +47,6 @@ of offset.
 from __future__ import annotations
 
 import json
-import pickle
 import sqlite3
 from contextlib import contextmanager
 from pathlib import Path
@@ -66,18 +69,19 @@ from ..market.licensing import (
     LicenseKind,
 )
 from ..relation import Relation
+from ..relation.codec import relation_from_payload
 from ..sketches import MinHash
 
 #: bump on any table or payload change; a store created by a different
-#: schema version is refused rather than silently misread.  Version 5
-#: holds the order-insensitive ``Relation.content_hash`` in
-#: ``datasets.content_hash`` and no LSH bucket table (replay rebuilds the
-#: banding from the signatures).  Schema-4 content hashes depended on row
-#: order, schema-3 payloads kept one round with empty bins for load-time
-#: densification, and schema-2 stores carried classic or
-#: rotation-densified signatures, band keys and join candidates from other
-#: estimators, so all are refused instead of replayed
-SCHEMA_VERSION = 5
+#: schema version is refused rather than silently misread.  Version 6
+#: holds each relation as one JSON payload in ``datasets.relation_json``
+#: (schema-5 stores fell back to a binary row format whose load could run
+#: code).  Schema-4 content hashes depended on row order, schema-3
+#: payloads kept one round with empty bins for load-time densification,
+#: and schema-2 stores carried classic or rotation-densified signatures,
+#: band keys and join candidates from other estimators, so all are
+#: refused instead of replayed
+SCHEMA_VERSION = 6
 
 _JSON_SCALARS = (type(None), bool, int, float, str)
 
@@ -98,8 +102,7 @@ TABLES: dict[str, tuple[str, ...]] = {
     "datasets": (
         "dataset", "reg_order", "version", "logical_time", "content_hash",
         "owner", "credentials", "seller", "reserve_price", "license_json",
-        "n_rows", "schema_json", "rows_format", "rows_payload",
-        "graph_version",
+        "n_rows", "relation_json", "graph_version",
     ),
     "column_profiles": (
         "dataset", "position", "column_name", "dtype", "semantic",
@@ -135,9 +138,7 @@ CREATE TABLE IF NOT EXISTS datasets (
     reserve_price REAL NOT NULL,
     license_json  TEXT NOT NULL,
     n_rows        INTEGER NOT NULL,
-    schema_json   TEXT NOT NULL,
-    rows_format   TEXT NOT NULL,
-    rows_payload  BLOB NOT NULL,
+    relation_json TEXT NOT NULL,
     graph_version INTEGER NOT NULL
 );
 CREATE INDEX IF NOT EXISTS datasets_by_time
@@ -203,7 +204,8 @@ class StoreError(MarketError):
 
 
 def _untuple(value):
-    """JSON round-trip inverse for cache keys: lists back to tuples."""
+    """JSON round-trip inverse for plan-cache keys and the tuple fields of
+    wire results: lists back to tuples."""
     if isinstance(value, list):
         return tuple(_untuple(v) for v in value)
     return value
@@ -319,25 +321,6 @@ class MarketStore:
 
     # -- payload codecs ----------------------------------------------------
     @staticmethod
-    def _encode_rows(relation: Relation) -> tuple[str, bytes]:
-        rows = relation.rows
-        if all(
-            type(v) in _JSON_SCALARS for row in rows for v in row
-        ):
-            return "json", json.dumps([list(r) for r in rows]).encode()
-        return "pickle", pickle.dumps(
-            [tuple(r) for r in rows], protocol=4
-        )
-
-    @staticmethod
-    def _decode_rows(fmt: str, payload: bytes) -> list[tuple]:
-        if fmt == "json":
-            return [tuple(r) for r in json.loads(payload.decode())]
-        if fmt == "pickle":
-            return pickle.loads(payload)
-        raise StoreError(f"unknown rows payload format {fmt!r}")
-
-    @staticmethod
     def _license_json(license: License, policy: ContextualIntegrityPolicy):
         return json.dumps({
             "kind": license.kind.value,
@@ -358,34 +341,31 @@ class MarketStore:
         return license, policy
 
     # -- writes ------------------------------------------------------------
-    def persist_dataset(self, market, name: str) -> None:
+    def persist_dataset(self, market, name: str, payload: dict) -> None:
         """Persist one accepted (registered or updated) dataset — its
-        relation, snapshot, profiles and the market-wide derived state
-        the delta touched — in a single transaction."""
+        relation's codec ``payload``, snapshot, profiles and the
+        market-wide derived state the delta touched — in a single
+        transaction."""
         metadata = market.metadata
         index = market.index
         snapshot = metadata.snapshot(name)
-        relation = metadata.relation(name)
         profile = snapshot.profile
         license = market.licenses.license_of(name)
         policy = market.licenses.policy_of(name)
         seller = market.licenses.owner_of(name)
         reserve = market.arbiter.reserve_price_of(name)
         graph_version = index.graph_version
-        fmt, payload = self._encode_rows(relation)
-        schema_json = json.dumps(
-            [[c.name, c.dtype, c.semantic] for c in relation.schema]
-        )
+        relation_json = json.dumps(payload, separators=(",", ":"))
         with self._connect() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO datasets VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     name, index.registration_order(name), snapshot.version,
                     snapshot.logical_time, snapshot.content_hash,
                     snapshot.owners[0], snapshot.credentials, seller,
                     reserve, self._license_json(license, policy),
-                    profile.n_rows, schema_json, fmt, payload, graph_version,
+                    profile.n_rows, relation_json, graph_version,
                 ),
             )
             conn.execute(
@@ -620,6 +600,24 @@ class MarketStore:
         )
 
     # -- cold-start replay -------------------------------------------------
+    @staticmethod
+    def _relation_from_json(name: str, relation_json) -> Relation:
+        """The stored relation of dataset ``name``; a value that is not
+        its codec payload is a :class:`StoreError`."""
+        try:
+            relation = relation_from_payload(json.loads(relation_json))
+        except (TypeError, ValueError, RecursionError,
+                InvalidRequestError) as exc:
+            raise StoreError(
+                f"dataset {name!r}: stored relation does not decode: {exc}"
+            ) from exc
+        if relation.name != name:
+            raise StoreError(
+                f"dataset {name!r}: stored relation is named "
+                f"{relation.name!r}"
+            )
+        return relation
+
     def replay_into(self, market) -> int:
         """Rebuild a fresh market's full state from the store; returns the
         number of datasets replayed.  An empty store is a no-op."""
@@ -627,20 +625,15 @@ class MarketStore:
             rows = conn.execute(
                 "SELECT dataset, version, logical_time, content_hash, "
                 "owner, credentials, seller, reserve_price, license_json, "
-                "n_rows, schema_json, rows_format, rows_payload "
-                "FROM datasets ORDER BY reg_order"
+                "n_rows, relation_json FROM datasets ORDER BY reg_order"
             ).fetchall()
             if not rows:
                 return 0
             profiles: list[TableProfile] = []
             for (name, version, logical_time, content_hash, owner,
                  credentials, seller, reserve, license_json, n_rows,
-                 schema_json, fmt, payload) in rows:
-                relation = Relation(
-                    name,
-                    [tuple(c) for c in json.loads(schema_json)],
-                    self._decode_rows(fmt, payload),
-                )
+                 relation_json) in rows:
+                relation = self._relation_from_json(name, relation_json)
                 columns = []
                 for (col, dtype, semantic, distinct_fraction,
                      col_hash, sig, numeric_json,

@@ -18,6 +18,7 @@ so every vector read is the one eager per-row tagging would have built.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SchemaError, UnknownColumnError
@@ -129,16 +130,16 @@ class Relation:
         return bool(self._rows)
 
     def __eq__(self, other: object) -> bool:
-        """Bag equality on (schema names, rows), ignoring order and name."""
+        """Bag equality on (schema names, rows), ignoring order and name:
+        each row occurs as often on both sides, rows compared as
+        :meth:`distinct` compares them."""
         if not isinstance(other, Relation):
             return NotImplemented
         if self.schema.names != other.schema.names:
             return False
-
-        def key(row: Row) -> tuple:
-            return tuple(_sort_key(_freeze(v)) for v in row)
-
-        return sorted(self._rows, key=key) == sorted(other._rows, key=key)
+        return Counter(map(_freeze_row, self._rows)) == Counter(
+            map(_freeze_row, other._rows)
+        )
 
     def __hash__(self) -> int:  # pragma: no cover - identity hash
         return id(self)

@@ -16,6 +16,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 
+def _histogram(finite: np.ndarray, bins: int):
+    """Equi-width histogram of finite values.  A range numpy cannot cut
+    into ``bins`` finite-sized bins — a constant column beyond 2**53, a
+    span wider than the float range — is one bin over ``[min, max]``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return np.histogram(finite, bins=bins)
+        except ValueError:
+            return (np.array([finite.size]),
+                    np.array([finite.min(), finite.max()]))
+
+
 @dataclass(frozen=True)
 class NumericSummary:
     """Moments, range and an equi-width histogram of a numeric column."""
@@ -47,7 +59,7 @@ class NumericSummary:
                        float("nan"), (), ())
         finite_mask = np.isfinite(data)
         if finite_mask.all():
-            counts, edges = np.histogram(data, bins=bins)
+            counts, edges = _histogram(data, bins)
             valid = data
         else:
             # NaN/inf cells must not crash profiling (the packed
@@ -55,8 +67,7 @@ class NumericSummary:
             # values only, range/moments over everything but NaN
             finite = data[finite_mask]
             counts, edges = (
-                np.histogram(finite, bins=bins) if finite.size
-                else ((), ())
+                _histogram(finite, bins) if finite.size else ((), ())
             )
             valid = data[~np.isnan(data)]
         if valid.size:

@@ -849,3 +849,72 @@ def test_head_answers_headers_only_on_a_kept_alive_connection(gateway):
         assert conn.sock is sock  # one connection carried both
     finally:
         conn.close()
+
+
+# ---------------------------------------------------------------------------
+# bodies and cells the parser and the relation codec refuse
+# ---------------------------------------------------------------------------
+
+def post(gw, path: str, text: str) -> tuple[int, dict]:
+    status, answer, _ = gw.handle(
+        "POST", path, {"Authorization": "Bearer tok-acme"},
+        text.encode("utf-8"), client="127.0.0.1",
+    )
+    return status, answer
+
+
+def one_cell_body(dtype: str, cell_json: str) -> str:
+    return ('{"relation": {"name": "s", "columns": [["c", "%s", null]], '
+            '"rows": [[%s]]}}' % (dtype, cell_json))
+
+
+@pytest.mark.parametrize("path, body", [
+    ("/datasets", one_cell_body("str", r'"a\ud800"')),
+    ("/participants", r'{"name": "b\uDC00"}'),
+    # an unknown tag object in a cell
+    ("/datasets", one_cell_body("any", '{"frozenset": [1, 2]}')),
+    ("/datasets", one_cell_body("any", '[{"tuple": [1], "x": 2}]')),
+    # nested deeper than the parser recurses
+    ("/participants", '{"name": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+])
+def test_refused_bodies_are_422_and_change_nothing(gateway, path, body):
+    market = gateway.service.market
+    version = market.graph_version
+    status, answer = post(gateway, path, body)
+    assert (status, answer["error"]["type"]) == (422, "InvalidRequestError")
+    assert market.graph_version == version
+    assert market.datasets == []
+    assert list(market.arbiter.ledger.accounts) == ["arbiter"]
+
+
+def test_an_escaped_surrogate_pair_is_one_character(gateway):
+    status, _ = post(gateway, "/datasets",
+                     one_cell_body("str", r'"\ud83d\ude00"'))
+    assert status == 201
+    assert gateway.service.market.metadata.relation("s").rows == (
+        ("\N{GRINNING FACE}",),
+    )
+
+
+def test_the_module_entry_point_runs_one_copy_of_the_gateway():
+    """``python -m repro.platform.http`` (how marketbench starts its
+    gateway) imports no second copy of the module: runpy warns when the
+    package has imported it already."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.platform.http", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Serve a data market" in done.stdout

@@ -144,6 +144,21 @@ def test_updates_and_retires_replay_to_final_state(tmp_path):
         assert profile_record(replayed, ds) == profile_record(live, ds)
 
 
+def test_an_unchanged_update_keeps_the_stored_rows(tmp_path):
+    """An update whose content equals the live one (here the same rows
+    in another order) keeps the rows already held, and the store keeps
+    matching memory."""
+    live, path = seeded_store_market(tmp_path)
+    cities = live.metadata.relation("cities")
+    reordered = Relation("cities", cities.schema, cities.rows[::-1])
+    live.update_dataset(reordered, "acme", reserve_price=7.0)
+    assert live.metadata.relation("cities") is cities
+    replayed = DataMarket(store=str(path))
+    assert replayed.metadata.relation("cities").rows == cities.rows
+    assert replayed.arbiter.reserve_price_of("cities") == 7.0
+    assert replayed.metadata.snapshot("cities").version == 1
+
+
 def test_license_and_policy_round_trip(tmp_path):
     path = tmp_path / "market.db"
     market = DataMarket(store=str(path))
@@ -163,17 +178,77 @@ def test_license_and_policy_round_trip(tmp_path):
     assert replayed.arbiter.reserve_price_of("orders") == 5.0
 
 
-def test_exotic_cells_round_trip_via_pickle_payload(tmp_path):
+def test_tuple_cells_round_trip_as_tuples(tmp_path):
     path = tmp_path / "market.db"
     market = DataMarket(store=str(path))
     fused = Relation(
         "fused",
         [Column("k", "int"), Column("blob", "any")],
-        [(i, ("multi", i)) for i in range(12)],
+        [(i, ("multi", i, [i, (i,)])) for i in range(12)],
     )
     market.register_dataset(fused, seller="acme")
     replayed = DataMarket(store=str(path))
-    assert replayed.metadata.relation("fused").rows == fused.rows
+    rows = replayed.metadata.relation("fused").rows
+    assert rows == fused.rows
+    for _, blob in rows:
+        assert type(blob) is tuple
+        assert type(blob[2]) is list and type(blob[2][1]) is tuple
+
+
+def _replace_relation_json(path, value) -> None:
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE datasets SET relation_json = ?", (value,))
+    conn.commit()
+    conn.close()
+
+
+class _CreatesFile:
+    """Unpickling this creates ``path``: stands in for any code a pickle
+    can run."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+@pytest.mark.parametrize("relation_json", [
+    # an unknown cell tag
+    '{"name":"cities","columns":[["city","any",null]],'
+    '"rows":[[{"frozenset":["a"]}]]}',
+    # a payload named for another dataset
+    '{"name":"towns","columns":[["city","str",null]],"rows":[["a"]]}',
+    # not JSON
+    "city0,1000",
+])
+def test_undecodable_relation_fails_cold_start(tmp_path, relation_json):
+    path = tmp_path / "market.db"
+    DataMarket(store=str(path)).register_dataset(
+        make_corpus()[2], seller="acme"
+    )
+    _replace_relation_json(path, relation_json)
+    with pytest.raises(StoreError, match="'cities'"):
+        DataMarket(store=str(path))
+
+
+def test_stored_pickle_runs_no_code(tmp_path):
+    import pickle
+
+    path = tmp_path / "market.db"
+    marker = tmp_path / "created-by-pickle"
+    DataMarket(store=str(path)).register_dataset(
+        make_corpus()[2], seller="acme"
+    )
+    payload = pickle.dumps(_CreatesFile(marker), protocol=4)
+    _replace_relation_json(path, payload)
+    with pytest.raises(StoreError, match="'cities'"):
+        DataMarket(store=str(path))
+    assert not marker.exists()
+    pickle.loads(payload).close()  # the payload really runs code
+    assert marker.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +385,12 @@ def test_text_search_limit_rejected_before_sql(tmp_path, limit):
 
 
 def test_schema_version_mismatch_refused(tmp_path):
-    """A store of the previous layout (schema 4: row-order content hashes
-    and an LSH bucket table) is refused like one of an unknown version."""
+    """A store of the previous layouts (schema 5: pickled rows; schema 4:
+    row-order content hashes and an LSH bucket table) is refused like one
+    of an unknown version."""
     import sqlite3
 
-    for version in ("4", "999"):
+    for version in ("4", "5", "999"):
         path = tmp_path / f"market{version}.db"
         MarketStore(path)
         conn = sqlite3.connect(path)

@@ -488,6 +488,18 @@ def test_numeric_summary_survives_nan_and_inf():
     assert sum(finite.bin_counts) == 3
 
 
+@pytest.mark.parametrize("values", [
+    [1e17, 1e17],  # constant beyond 2**53, where v - 0.5 == v + 0.5
+    [2.0**63],
+    [1e300, 1e300 * (1 + 2**-52)],
+    [-1.7e308, 1.7e308],  # a span wider than the float range
+])
+def test_numeric_summary_survives_ranges_numpy_cannot_bin(values):
+    summary = NumericSummary.of_array(np.array(values), nulls=0)
+    assert summary.bin_counts == (len(values),)
+    assert summary.bin_edges == (min(values), max(values))
+
+
 # ---------------------------------------------------------------------------
 # durable store: bit-identical replay, typed refusal of old stores
 # ---------------------------------------------------------------------------

@@ -201,6 +201,23 @@ def test_equality_is_bag_and_order_insensitive():
     assert a != c
 
 
+class _Tag(str):
+    """A str subclass: ``==`` to the plain str of its characters."""
+
+
+@pytest.mark.parametrize("schema, left, right", [
+    # a list and a tuple with equal items, in either order
+    ([("x", "any")], [([1, 2],), ((1, 2),)], [((1, 2),), ([1, 2],)]),
+    # a str and a str subclass's equal str, each in the other's row
+    ([("s", "str"), ("n", "int")], [("a", 1), (_Tag("a"), 2)],
+     [(_Tag("a"), 1), ("a", 2)]),
+])
+def test_equality_is_bag_equality_across_cell_types(schema, left, right):
+    a, b = Relation("a", schema, left), Relation("b", schema, right)
+    assert a == b
+    assert len(a.distinct()) == len(b.distinct())
+
+
 def test_content_hash_stable_under_row_order():
     a = Relation("a", [("x", "int")], [(1,), (2,)])
     b = Relation("b", [("x", "int")], [(2,), (1,)])
