@@ -22,8 +22,9 @@ sweep E23 introduced, now run here):
 * **production** — the columnar profiler ``MetadataEngine.register``
   runs.
 
-Gates (full mode, best of 5 cold rounds per mode; smoke shrinks corpora
-below timing-stable sizes and leans on the equality assertions instead):
+Gates (full mode, best of 5 cold rounds per mode, the four modes taking
+turns in each round; smoke shrinks corpora below timing-stable sizes and
+leans on the equality assertions instead):
 production ≥4x over the classic-scheme scalar path on the tall corpus
 (≥3x on wide, which hovers near 4x run-to-run), and ≥4.5x over legacy on
 both.
@@ -162,47 +163,53 @@ def no_gc():
             gc.enable()
 
 
-def timed_register(specs, profiling, repeats: int = 1) -> tuple[float, list]:
-    """Best-of-``repeats`` cold registration through ``profiling`` (a
-    context manager routing ``MetadataEngine.register``; ``nullcontext``
-    for production), with fresh relations and a fresh engine every round
-    and the token memo cleared, so each round really is cold; best-of
-    damps scheduler noise that a single shot would feed straight into the
-    gate ratios."""
-    best = float("inf")
-    profiles = []
+def timed_register(specs, profiling) -> tuple[float, list]:
+    """One cold registration through ``profiling`` (a context manager
+    routing ``MetadataEngine.register``; ``nullcontext`` for production),
+    with fresh relations, a fresh engine and the token memo cleared, so
+    the round really is cold."""
+    relations = fresh_relations(specs)
+    _TOKEN_CACHE.clear()
     with profiling():
-        for _ in range(repeats):
-            relations = fresh_relations(specs)
-            _TOKEN_CACHE.clear()
-            engine = MetadataEngine(num_perm=NUM_PERM)
-            with no_gc():
-                t0 = time.perf_counter()
-                for r in relations:
-                    engine.register(r)
-                elapsed = time.perf_counter() - t0
-            if elapsed < best:
-                best = elapsed
-                profiles = [
-                    engine.snapshot(r.name).profile for r in relations
-                ]
-    return best, profiles
-
-
-def timed_legacy(specs, repeats: int = 1) -> tuple[float, list]:
-    best = float("inf")
-    outputs = []
-    for _ in range(repeats):
-        relations = fresh_relations(specs)
-        _TOKEN_CACHE.clear()
-        LEGACY_TOKEN_MEMO.clear()
+        engine = MetadataEngine(num_perm=NUM_PERM)
         with no_gc():
             t0 = time.perf_counter()
-            result = [legacy_ingest(r, NUM_PERM) for r in relations]
+            for r in relations:
+                engine.register(r)
             elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best, outputs = elapsed, result
-    return best, outputs
+        return elapsed, [engine.snapshot(r.name).profile for r in relations]
+
+
+def timed_legacy(specs) -> tuple[float, list]:
+    relations = fresh_relations(specs)
+    _TOKEN_CACHE.clear()
+    LEGACY_TOKEN_MEMO.clear()
+    with no_gc():
+        t0 = time.perf_counter()
+        outputs = [legacy_ingest(r, NUM_PERM) for r in relations]
+        elapsed = time.perf_counter() - t0
+    return elapsed, outputs
+
+
+def best_of_interleaved(specs, repeats: int) -> dict[str, tuple]:
+    """Best-of-``repeats`` ``(seconds, outputs)`` per mode, the four modes
+    taking turns inside every round, so load that lasts a while slows all
+    of them rather than whichever mode's block it lands in; best-of damps
+    scheduler noise that a single shot would feed straight into the gate
+    ratios."""
+    modes = {
+        "legacy": lambda: timed_legacy(specs),
+        "classic": lambda: timed_register(specs, classic_profiling),
+        "scalar": lambda: timed_register(specs, scalar_profiling),
+        "production": lambda: timed_register(specs, nullcontext),
+    }
+    best = {mode: (float("inf"), []) for mode in modes}
+    for _ in range(repeats):
+        for mode, run in modes.items():
+            elapsed, outputs = run()
+            if elapsed < best[mode][0]:
+                best[mode] = elapsed, outputs
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +307,11 @@ def ingest_sweep(smoke):
         specs = build_corpus(shape, n_rows)
         n_values = sum(len(r) * len(c) for _n, c, r in specs)
 
-        t_legacy, legacy = timed_legacy(specs, repeats)
-        t_classic, classic = timed_register(
-            specs, classic_profiling, repeats
-        )
-        t_scalar, scalar = timed_register(specs, scalar_profiling, repeats)
-        t_prod, production = timed_register(specs, nullcontext, repeats)
+        best = best_of_interleaved(specs, repeats)
+        t_legacy, legacy = best["legacy"]
+        t_classic, classic = best["classic"]
+        t_scalar, scalar = best["scalar"]
+        t_prod, production = best["production"]
 
         assert_matches_scalar_reference(production, scalar)
         assert_classic_matches_legacy(classic, legacy)

@@ -8,14 +8,16 @@ Three renderings of the :mod:`repro.platform.store` schema must agree:
    table_info``, skipping SQLite internals and the FTS shadow tables),
 2. the **documented schema** — ``repro.platform.store.TABLES``, the
    module-level column map the store keeps next to its DDL,
-3. the **README schema table** — the markdown table in the
-   "Durability & concurrency" section.
+3. the **README schema table** — every row of the markdown table in the
+   "Durability & concurrency" section, so a row for a table the store no
+   longer creates fails too.
 
 Whoever edits the DDL must touch all three, and the migration policy
-(bump ``SCHEMA_VERSION``) along with it — this script failing in CI is
-the reminder.  The README also states the current ``SCHEMA_VERSION``
-("``SCHEMA_VERSION`` (now N ..."), and the script fails when that number
-differs from the code's.  Usage: ``python scripts/check_store_schema.py``.
+(bump ``SCHEMA_VERSION`` when an older store would be misread) along with
+it — this script failing in CI is the reminder.  The README also states
+the current ``SCHEMA_VERSION`` ("``SCHEMA_VERSION`` (now N ..."), and the
+script fails when that number differs from the code's.  Usage:
+``python scripts/check_store_schema.py``.
 """
 
 from __future__ import annotations
@@ -73,16 +75,25 @@ def live_schema() -> dict[str, tuple[str, ...]]:
             conn.close()
 
 
+#: the header row of the README's schema table
+README_HEADER = "| table | primary key | columns |"
+
+
 def readme_schema(text: str) -> dict[str, tuple[str, ...]]:
-    """Parse the README's schema table: | `name` | ... | col, col, ... |"""
+    """Parse every row of the README's schema table, the rows under
+    :data:`README_HEADER`: | `name` | key | col, col, ... |"""
+    lines = text.splitlines()
+    if README_HEADER not in lines:
+        return {}
     schema = {}
-    for line in text.splitlines():
-        m = re.match(r"\|\s*`(\w+)`\s*\|[^|]*\|([^|]+)\|\s*$", line)
-        if m and m.group(1) in TABLES:
-            cols = tuple(
-                c.strip().strip("`") for c in m.group(2).split(",") if c.strip()
-            )
-            schema[m.group(1)] = cols
+    # the row after the header is the | --- | separator
+    for line in lines[lines.index(README_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = line.strip().strip("|").split("|")
+        schema[cells[0].strip().strip("`")] = tuple(
+            c.strip().strip("`") for c in cells[-1].split(",") if c.strip()
+        )
     return schema
 
 
@@ -124,11 +135,11 @@ def main() -> int:
                 )
     if not readme:
         problems.append(
-            f"no schema table found in {README.name} "
-            "(expected rows like '| `datasets` | ... | col, col |')"
+            f"no schema table found in {README.name} (expected rows like "
+            f"'| `datasets` | ... | col, col |' under '{README_HEADER}')"
         )
     else:
-        problems += diff("store.TABLES", documented, "README", readme)
+        problems += diff("live sqlite", live, "README", readme)
     stated = readme_schema_version(text)
     if stated != SCHEMA_VERSION:
         problems.append(
@@ -143,8 +154,8 @@ def main() -> int:
             print(f"  {p}", file=sys.stderr)
         print(
             "\nkeep the DDL, repro.platform.store.TABLES and the README "
-            "schema table in lockstep (and bump SCHEMA_VERSION on any "
-            "layout change)",
+            "schema table in lockstep (and bump SCHEMA_VERSION when an "
+            "older store would be misread)",
             file=sys.stderr,
         )
         return 1

@@ -198,34 +198,22 @@ class IndexBuilder:
         """Full rebuild from the engine's current profiles (the O(C²)
         reference oracle; also primes the incremental structures)."""
         profiles = self.engine.profiles()
-        self._profiles = {p.dataset: p for p in profiles}
-        self._order = {p.dataset: i for i, p in enumerate(profiles)}
-        self._next_order = len(profiles)
-        self._rebuild_buckets()
+        self._profiles = {p.dataset: p for p in profiles}  # for _score_pair
         columns: list[ColumnProfile] = [
             c for p in profiles for c in p.columns
         ]
-        self._candidates = {}
-        self._pairs_of = {p.dataset: set() for p in profiles}
+        candidates = []
         for i, a in enumerate(columns):
             for b in columns[i + 1 :]:
                 if a.dataset == b.dataset:
                     continue
                 cand = self._score_pair(a, b)
                 if cand is not None:
-                    self._store_candidate(cand)
-        self._sorted = None
-        self._graph = nx.MultiGraph()
-        for p in profiles:
-            self._graph.add_node(p.dataset, n_rows=p.n_rows)
-        pairs_seen: set[tuple[str, str]] = set()
-        for cand in self._sorted_candidates():
-            pair = (cand.left_dataset, cand.right_dataset)
-            if pair not in pairs_seen:
-                pairs_seen.add(pair)
-                self._add_pair_edges(*pair)
-        self._graph_version += 1
-        self._stale = False
+                    candidates.append(cand)
+        self.restore_state(
+            profiles=profiles, candidates=candidates,
+            graph_version=self._graph_version + 1,
+        )
 
     def _rebuild_buckets(self) -> None:
         self._lsh = None
@@ -358,21 +346,18 @@ class IndexBuilder:
         """Insert one edge per predicate between ``u`` and ``v`` (in the
         deterministic order of :meth:`_pair_predicates`)."""
         for pred in self._pair_predicates(u, v):
-            self._insert_edge(pred)
-
-    def _insert_edge(self, pred: JoinPredicate) -> None:
-        self._graph.add_edge(
-            pred.left_dataset, pred.right_dataset,
-            key=pred.pairs,
-            left_dataset=pred.left_dataset,
-            left=pred.left_column,
-            right=pred.right_column,
-            pairs=pred.pairs,
-            score=pred.score,
-            evidence=pred.evidence,
-            pk_side=pred.pk_side,
-            fanout=pred.fanout,
-        )
+            self._graph.add_edge(
+                pred.left_dataset, pred.right_dataset,
+                key=pred.pairs,
+                left_dataset=pred.left_dataset,
+                left=pred.left_column,
+                right=pred.right_column,
+                pairs=pred.pairs,
+                score=pred.score,
+                evidence=pred.evidence,
+                pk_side=pred.pk_side,
+                fanout=pred.fanout,
+            )
 
     def _pair_predicates(self, u: str, v: str) -> list[JoinPredicate]:
         """All join predicates between two datasets, derived deterministically
@@ -630,33 +615,25 @@ class IndexBuilder:
             self._candidates[k] for k in sorted(self._pairs_of.get(name, ()))
         ]
 
-    def dataset_edges(self, name: str) -> list[JoinPredicate]:
-        """Every relationship-graph predicate on a pair involving ``name``,
-        in deterministic (neighbour, per-pair) order."""
-        self._ensure_fresh()
-        preds: list[JoinPredicate] = []
-        if name not in self._graph:
-            return preds
-        for other in sorted(self._graph.neighbors(name)):
-            preds.extend(self._pair_predicates(name, other))
-        return preds
-
     def restore_state(
         self,
         *,
         profiles: list[TableProfile],
         candidates: Iterable[JoinCandidate],
-        edges: Iterable[JoinPredicate],
         graph_version: int,
     ) -> None:
-        """Cold-start replay: adopt persisted derived state wholesale.
+        """Adopt ``profiles`` and ``candidates`` wholesale and derive the
+        rest: cold-start replay passes the persisted state, :meth:`refresh`
+        freshly scored candidates.
 
         ``profiles`` must arrive in original registration order (it fixes
-        candidate orientation), ``candidates``/``edges`` are re-installed
-        verbatim — no re-scoring — and LSH buckets are rebuilt from the
-        restored signatures (band keys are a pure function of a signature,
-        so the buckets are bit-identical to the live ones).  The graph
-        version continues from the stored counter, preserving the platform's
+        candidate orientation) and ``candidates`` are installed verbatim —
+        no re-scoring.  LSH buckets are rebuilt from the signatures (band
+        keys are a pure function of a signature, so the buckets are
+        bit-identical to the live ones).  The graph's edges are a pure
+        function of the candidates: nodes in registration order, then each
+        candidate pair's predicates, pairs in sorted order.  The graph
+        version continues from ``graph_version``, preserving the platform's
         ``as_of`` monotonicity across restarts."""
         self._profiles = {p.dataset: p for p in profiles}
         self._order = {p.dataset: i for i, p in enumerate(profiles)}
@@ -670,8 +647,11 @@ class IndexBuilder:
         self._graph = nx.MultiGraph()
         for p in profiles:
             self._graph.add_node(p.dataset, n_rows=p.n_rows)
-        for pred in edges:
-            self._insert_edge(pred)
+        for pair in sorted({
+            (c.left_dataset, c.right_dataset)
+            for c in self._candidates.values()
+        }):
+            self._add_pair_edges(*pair)
         self._graph_version = int(graph_version)
         self._components_version = -1
         self._fingerprints_version = -1

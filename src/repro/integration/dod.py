@@ -461,28 +461,6 @@ class DoDEngine:
             # returned wrappers must not poison later hits
             return [_copy_mashup(m) for m in mashups]
 
-    def export_plan_cache(self) -> list[tuple[tuple, _PlanCacheEntry]]:
-        """The live plan-cache entries in LRU order (coldest first) — the
-        durable store serializes what it can of them."""
-        with self._lock:
-            return list(self._plan_cache.items())
-
-    def restore_plan_cache(
-        self, entries: list[tuple[tuple, _PlanCacheEntry]]
-    ) -> int:
-        """Durable-store replay: re-install persisted plan-cache entries
-        (coldest first, so LRU order survives the restart).  Entries beyond
-        ``plan_cache_size`` are dropped from the cold end; returns the
-        number installed."""
-        if not self.plan_cache:
-            return 0
-        with self._lock:
-            kept = entries[-self.plan_cache_size:]
-            for key, entry in kept:
-                self._plan_cache[key] = entry
-                self._plan_cache.move_to_end(key)
-            return len(kept)
-
     def _build_mashups(self, request: MashupRequest) -> list[Mashup]:
         # fresh stats up front: the empty-result early returns below must
         # not leave a previous call's (possibly cache_hit) stats behind

@@ -99,7 +99,7 @@ from .results import (
     round_view,
 )
 from .service import MarketService, ServiceError, WriteTicket
-from .store import MarketStore, StoreError, _untuple
+from .store import MarketStore, StoreError
 
 #: the single MarketError-taxonomy -> HTTP status mapping.  Resolution
 #: walks an exception's MRO and takes the *first* (most-derived) entry, so
@@ -421,6 +421,14 @@ def _fields(cls) -> dict | None:
         return None
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _untuple(value):
+    """JSON round-trip inverse for the tuple fields of wire results: lists
+    back to tuples."""
+    if isinstance(value, list):
+        return tuple(_untuple(v) for v in value)
+    return value
 
 
 @functools.cache

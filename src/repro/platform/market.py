@@ -26,11 +26,10 @@ structured
 
 Every column is profiled under one sketch (one-permutation MinHash in
 rounds, see :mod:`repro.sketches.minhash`), so all signatures a market
-holds are mutually comparable.  A durable store written under an older
-schema version — schema 3, whose signatures were densified on load, or
-schema 2, whose signatures, LSH band keys and join candidates came from
-other estimators — is refused at open with a typed ``StoreError``;
-re-registering the corpus is the migration.
+holds are mutually comparable.  A durable store written under another
+schema version is refused at open with a typed ``StoreError`` (see
+:data:`repro.platform.store.SCHEMA_VERSION`); re-registering the corpus is
+the migration.
 
 The engine classes remain importable (they are the internal layer); the
 façade is the supported wiring::
@@ -153,13 +152,6 @@ class DataMarket:
     def store(self) -> MarketStore | None:
         """The durable store backing this market (None when ephemeral)."""
         return self._store
-
-    def persist_plan_cache(self) -> int:
-        """Persist the serializable part of the plan cache so a restart
-        replays warm; returns entries written (0 without a store)."""
-        if self._store is None:
-            return 0
-        return self._store.save_plan_cache(self)
 
     @property
     def metadata(self):

@@ -350,16 +350,15 @@ class MarketService:
         }
 
     def close(self, timeout: float | None = 60.0) -> None:
-        """Drain the queue, stop the worker, and persist the plan cache
-        (store-backed markets) so a restart starts warm.  Idempotent."""
+        """Drain the queue and stop the worker: every write accepted
+        before the call is applied (and, store-backed, committed) when it
+        returns.  Idempotent."""
         if self._closed:
             return
         self.flush(timeout)
         self._closed = True
         self._queue.put(_STOP)
         self._worker.join(timeout)
-        if self.market.store is not None:
-            self.market.persist_plan_cache()
 
     def __enter__(self) -> "MarketService":
         return self

@@ -1,8 +1,9 @@
 """Durable market state: a SQLite-backed store under the platform façade.
 
 The paper's DMMS is an *always-on* service; this module gives the façade a
-crash-safe home for everything the discovery stack derives, so a restarted
-process **replays** state instead of re-profiling every dataset:
+crash-safe home for the market's record and for what replay cannot cheaply
+rebuild, so a restarted process **replays** state instead of re-profiling
+every dataset:
 
 * dataset metadata (the relation, as the one JSON payload of
   :mod:`repro.relation.codec` that the HTTP gateway also speaks; snapshot
@@ -11,32 +12,28 @@ process **replays** state instead of re-profiling every dataset:
   signature (:meth:`~repro.sketches.MinHash.to_bytes`: a header and the
   bins; replay loads them as they are, and rebuilds the LSH banding from
   them),
-* the join-candidate set and the relationship graph's edges, both with
-  their fan-out estimates,
+* the join-candidate set with its fan-out estimates (replay derives the
+  relationship graph's edges from it),
 * the component fingerprints (persisted as an integrity check — replay
   recomputes them and refuses a store whose digests do not match),
-* the component-scoped plan cache (best effort; entries that defy JSON
-  serialization are simply not persisted),
 
 all keyed by ``graph_version`` so a cold start resumes the exact version
-counter — ``as_of`` stamps stay monotonic across restarts.  Every stored
-value is JSON, SQL scalars or signature bytes, so reading a store runs no
-code it holds; a relation that does not decode fails replay with a typed
+counter — ``as_of`` stamps stay monotonic across restarts.  The plan cache
+is not stored: a restart starts it cold.  Every stored value is JSON, SQL
+scalars or signature bytes, so reading a store runs no code it holds; a
+relation that does not decode fails replay with a typed
 :class:`StoreError`.  The store records its :data:`SCHEMA_VERSION`, and a
-store of any other version is refused at open with a :class:`StoreError` —
-schema-5 stores could hold rows in a binary format whose loading runs
-code, schema-4 stores content hashes that depended on row order, schema-3
-stores signatures densified on load and schema-2 stores signatures, band
-keys and join candidates from retired estimators; replaying any of them
-would run stored code or mix two definitions of a dataset's identity or
-two estimators.  Re-registering the corpus is the migration.
+store of any other version is refused at open with a :class:`StoreError`
+(:data:`SCHEMA_VERSION` says what each older version held).
+Re-registering the corpus is the migration.
 
 Durability follows the usual SQLite service recipe: WAL journaling (readers
-never block the single writer), ``synchronous=NORMAL`` (safe with WAL; an
-OS crash can lose the last transaction but never corrupts), a generous
-``busy_timeout``, and one transaction per delta so a kill -9 between deltas
-leaves a consistent prefix.  Connections are opened per call: the store
-object itself is trivially shareable across threads.
+never block the single writer; set once at open, the file keeps it),
+``synchronous=NORMAL`` (safe with WAL; an OS crash can lose the last
+transaction but never corrupts), a 30 s busy timeout, and one transaction
+per delta so a kill -9 between deltas leaves a consistent prefix.
+Connections are opened per call: the store object itself is trivially
+shareable across threads.
 
 On top of the replay tables the store offers **service reads**: FTS5-backed
 free-text dataset search (graceful LIKE fallback when the linked SQLite
@@ -51,7 +48,7 @@ import sqlite3
 from contextlib import contextmanager
 from pathlib import Path
 
-from ..discovery.index import JoinCandidate, JoinPredicate
+from ..discovery.index import JoinCandidate
 from ..discovery.metadata import ContextSnapshot
 from ..discovery.profiler import (
     TableProfile,
@@ -60,9 +57,6 @@ from ..discovery.profiler import (
 )
 from ..discovery.stats import FanoutEstimate
 from ..errors import InvalidRequestError, MarketError
-from ..integration.dod import _PlanCacheEntry
-from ..integration.plan import JoinStep, Mashup, MashupPlan, TransformStep
-from ..integration.synthesis import AffineMap, DictionaryMap
 from ..market.licensing import (
     ContextualIntegrityPolicy,
     License,
@@ -72,18 +66,16 @@ from ..relation import Relation
 from ..relation.codec import relation_from_payload
 from ..sketches import MinHash
 
-#: bump on any table or payload change; a store created by a different
-#: schema version is refused rather than silently misread.  Version 6
-#: holds each relation as one JSON payload in ``datasets.relation_json``
-#: (schema-5 stores fell back to a binary row format whose load could run
-#: code).  Schema-4 content hashes depended on row order, schema-3
-#: payloads kept one round with empty bins for load-time densification,
-#: and schema-2 stores carried classic or rotation-densified signatures,
-#: band keys and join candidates from other estimators, so all are
-#: refused instead of replayed
+#: bump when an older store would be misread.  Version 6 holds each
+#: relation as one JSON payload in ``datasets.relation_json`` (schema-5
+#: stores fell back to a binary row format whose load could run code).
+#: Schema-4 content hashes depended on row order, schema-3 payloads kept
+#: one round with empty bins for load-time densification, and schema-2
+#: stores carried classic or rotation-densified signatures, band keys and
+#: join candidates from other estimators, so all are refused instead of
+#: replayed.  Dropping a table replay no longer reads needs no bump: an
+#: older schema-6 store replays as it did
 SCHEMA_VERSION = 6
-
-_JSON_SCALARS = (type(None), bool, int, float, str)
 
 #: valid ``list_datasets`` sort keys -> (order column, cursor-value parser,
 #: page-row field the next cursor is minted from).  The dataset name is the
@@ -113,12 +105,7 @@ TABLES: dict[str, tuple[str, ...]] = {
         "left_dataset", "left_column", "right_dataset", "right_column",
         "score", "evidence", "pk_side", "fanout_lr", "fanout_rl",
     ),
-    "graph_edges": (
-        "left_dataset", "right_dataset", "position", "pairs_json", "score",
-        "evidence", "pk_side", "fanout_lr", "fanout_rl",
-    ),
     "component_fingerprints": ("component_id", "fingerprint"),
-    "plan_cache": ("cache_key", "position", "graph_version", "entry_json"),
 }
 
 _DDL = """
@@ -168,28 +155,19 @@ CREATE TABLE IF NOT EXISTS join_candidates (
     fanout_rl     REAL,
     PRIMARY KEY (left_dataset, left_column, right_dataset, right_column)
 );
-CREATE TABLE IF NOT EXISTS graph_edges (
-    left_dataset  TEXT NOT NULL,
-    right_dataset TEXT NOT NULL,
-    position      INTEGER NOT NULL,
-    pairs_json    TEXT NOT NULL,
-    score         REAL NOT NULL,
-    evidence      TEXT NOT NULL,
-    pk_side       TEXT,
-    fanout_lr     REAL,
-    fanout_rl     REAL,
-    PRIMARY KEY (left_dataset, right_dataset, position)
-);
 CREATE TABLE IF NOT EXISTS component_fingerprints (
     component_id INTEGER PRIMARY KEY,
     fingerprint  TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS plan_cache (
-    cache_key     TEXT PRIMARY KEY,
-    position      INTEGER NOT NULL,
-    graph_version INTEGER NOT NULL,
-    entry_json    TEXT NOT NULL
-);
+"""
+
+#: tables an older build of this schema version also kept, derived from
+#: the others.  Dropped at open: that build would replay their rows as it
+#: last wrote them, and without them its fingerprint check refuses any
+#: store whose candidates join two datasets
+_RETIRED_DDL = """
+DROP TABLE IF EXISTS graph_edges;
+DROP TABLE IF EXISTS plan_cache;
 """
 
 _FTS_DDL = """
@@ -201,34 +179,6 @@ CREATE VIRTUAL TABLE IF NOT EXISTS dataset_fts USING fts5(
 
 class StoreError(MarketError):
     """A durable-store operation failed (corrupt payload, schema drift)."""
-
-
-def _untuple(value):
-    """JSON round-trip inverse for plan-cache keys and the tuple fields of
-    wire results: lists back to tuples."""
-    if isinstance(value, list):
-        return tuple(_untuple(v) for v in value)
-    return value
-
-
-def _mapping_to_json(mapping) -> dict:
-    if isinstance(mapping, AffineMap):
-        return {"type": "affine", "a": mapping.a, "b": mapping.b}
-    if isinstance(mapping, DictionaryMap):
-        pairs = list(mapping.mapping.items())
-        if not all(
-            type(k) in _JSON_SCALARS and type(v) in _JSON_SCALARS
-            for k, v in pairs
-        ):
-            raise StoreError("dictionary mapping is not JSON-serializable")
-        return {"type": "dict", "pairs": [[k, v] for k, v in pairs]}
-    raise StoreError(f"unserializable mapping {mapping!r}")
-
-
-def _mapping_from_json(data: dict):
-    if data["type"] == "affine":
-        return AffineMap(data["a"], data["b"])
-    return DictionaryMap({k: v for k, v in data["pairs"]})
 
 
 def _check_limit(limit) -> None:
@@ -251,6 +201,7 @@ class MarketStore:
         self.path = str(path)
         self._fts = True
         with self._connect() as conn:
+            conn.execute("PRAGMA journal_mode=WAL")  # the file keeps it
             conn.executescript(_DDL)
             try:
                 conn.executescript(_FTS_DDL)
@@ -271,19 +222,19 @@ class MarketStore:
                     f"this build expects {SCHEMA_VERSION}: re-register the "
                     f"corpus into a new store to migrate"
                 )
+            conn.executescript(_RETIRED_DDL)
 
     # -- connection management -------------------------------------------
     @contextmanager
     def _connect(self):
         """One short-lived connection per call: commit-on-success (so each
         delta is one transaction — a kill between deltas leaves a
-        consistent prefix), always closed on the way out."""
+        consistent prefix), always closed on the way out.  ``timeout`` is
+        the busy timeout; ``synchronous`` is the one setting a connection
+        does not inherit from the file."""
         conn = sqlite3.connect(self.path, timeout=30.0)
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            conn.execute("PRAGMA foreign_keys=ON")
             with conn:
                 yield conn
         finally:
@@ -400,10 +351,6 @@ class MarketStore:
                 "DELETE FROM join_candidates "
                 "WHERE left_dataset = ? OR right_dataset = ?", (name, name),
             )
-            conn.execute(
-                "DELETE FROM graph_edges "
-                "WHERE left_dataset = ? OR right_dataset = ?", (name, name),
-            )
             if self._fts:
                 conn.execute(
                     "DELETE FROM dataset_fts WHERE dataset = ?", (name,)
@@ -413,18 +360,13 @@ class MarketStore:
     def _rewrite_relationships(
         self, conn: sqlite3.Connection, market, name: str
     ) -> None:
-        """Replace every candidate/edge row involving ``name`` with the
-        index's current view (a delta can add, rescore, or drop them)."""
-        index = market.index
+        """Replace every candidate row involving ``name`` with the index's
+        current view (a delta can add, rescore, or drop them)."""
         conn.execute(
             "DELETE FROM join_candidates "
             "WHERE left_dataset = ? OR right_dataset = ?", (name, name),
         )
-        conn.execute(
-            "DELETE FROM graph_edges "
-            "WHERE left_dataset = ? OR right_dataset = ?", (name, name),
-        )
-        for cand in index.dataset_candidates(name):
+        for cand in market.index.dataset_candidates(name):
             fan = cand.fanout
             conn.execute(
                 "INSERT OR REPLACE INTO join_candidates VALUES "
@@ -433,23 +375,6 @@ class MarketStore:
                     cand.left_dataset, cand.left_column,
                     cand.right_dataset, cand.right_column,
                     cand.score, cand.evidence, cand.pk_side,
-                    None if fan is None else fan.lr,
-                    None if fan is None else fan.rl,
-                ),
-            )
-        positions: dict[tuple[str, str], int] = {}
-        for pred in index.dataset_edges(name):
-            pair = (pred.left_dataset, pred.right_dataset)
-            pos = positions.get(pair, 0)
-            positions[pair] = pos + 1
-            fan = pred.fanout
-            conn.execute(
-                "INSERT OR REPLACE INTO graph_edges VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    pred.left_dataset, pred.right_dataset, pos,
-                    json.dumps([list(p) for p in pred.pairs]),
-                    pred.score, pred.evidence, pred.pk_side,
                     None if fan is None else fan.lr,
                     None if fan is None else fan.rl,
                 ),
@@ -475,8 +400,8 @@ class MarketStore:
     def _finish_delta(
         self, conn: sqlite3.Connection, market, graph_version: int
     ) -> None:
-        """Shared tail of every delta transaction: fingerprints, clocks,
-        the graph version, and plan-cache pruning."""
+        """Shared tail of every delta transaction: fingerprints, clocks
+        and the graph version."""
         conn.execute("DELETE FROM component_fingerprints")
         for cid, fp in enumerate(market.index.component_fingerprints()):
             conn.execute(
@@ -487,116 +412,6 @@ class MarketStore:
         self._set_meta(conn, "metadata_clock", market.metadata.clock)
         self._set_meta(
             conn, "newest_logical_time", market.metadata.newest_logical_time
-        )
-        # cached plans are only restorable at the exact version they were
-        # saved under; rows from older versions are dead weight
-        conn.execute(
-            "DELETE FROM plan_cache WHERE graph_version != ?",
-            (graph_version,),
-        )
-
-    # -- plan-cache persistence -------------------------------------------
-    def save_plan_cache(self, market) -> int:
-        """Persist the current plan cache (best effort): entries whose keys
-        or mashups defy JSON stay process-local.  Returns rows written."""
-        planner = market.planner
-        graph_version = market.index.graph_version
-        written = 0
-        with self._connect() as conn:
-            conn.execute("DELETE FROM plan_cache")
-            for position, (key, entry) in enumerate(
-                planner.export_plan_cache()
-            ):
-                try:
-                    key_json = json.dumps(key)
-                    entry_json = json.dumps(self._entry_to_json(entry))
-                except (StoreError, TypeError, ValueError):
-                    continue
-                conn.execute(
-                    "INSERT OR REPLACE INTO plan_cache VALUES (?, ?, ?, ?)",
-                    (key_json, position, graph_version, entry_json),
-                )
-                written += 1
-        return written
-
-    @staticmethod
-    def _entry_to_json(entry: _PlanCacheEntry) -> dict:
-        mashups = []
-        for m in entry.mashups:
-            plan = m.plan
-            mashups.append({
-                "base": plan.base,
-                "joins": [
-                    {
-                        "dataset": j.dataset, "left_on": j.left_on,
-                        "right_on": j.right_on, "score": j.score,
-                        "extra_on": [list(p) for p in j.extra_on],
-                        "fanout": j.fanout,
-                    }
-                    for j in plan.joins
-                ],
-                "transforms": [
-                    {
-                        "source_column": t.source_column,
-                        "output_column": t.output_column,
-                        "mapping": _mapping_to_json(t.mapping),
-                    }
-                    for t in plan.transforms
-                ],
-                "output": plan.output,
-                "matched": {
-                    attr: list(hit) for attr, hit in m.matched.items()
-                },
-                "missing": list(m.missing),
-            })
-        return {
-            "fingerprints": sorted(entry.fingerprints),
-            "attributes": list(entry.attributes),
-            "min_score": entry.min_score,
-            "hint_datasets": sorted(entry.hint_datasets),
-            "mashups": mashups,
-        }
-
-    def _entry_from_json(self, data: dict, market) -> _PlanCacheEntry:
-        mashups = []
-        for md in data["mashups"]:
-            plan = MashupPlan(
-                base=md["base"],
-                joins=[
-                    JoinStep(
-                        dataset=j["dataset"], left_on=j["left_on"],
-                        right_on=j["right_on"], score=j["score"],
-                        extra_on=tuple(
-                            (a, b) for a, b in j["extra_on"]
-                        ),
-                        fanout=j["fanout"],
-                    )
-                    for j in md["joins"]
-                ],
-                transforms=[
-                    TransformStep(
-                        source_column=t["source_column"],
-                        output_column=t["output_column"],
-                        mapping=_mapping_from_json(t["mapping"]),
-                    )
-                    for t in md["transforms"]
-                ],
-                output=dict(md["output"]),
-            )
-            mashups.append(Mashup(
-                plan=plan,
-                matched={
-                    attr: tuple(hit) for attr, hit in md["matched"].items()
-                },
-                missing=tuple(md["missing"]),
-                tree=plan.build_tree(market.metadata.relation),
-            ))
-        return _PlanCacheEntry(
-            mashups=mashups,
-            fingerprints=frozenset(data["fingerprints"]),
-            attributes=tuple(data["attributes"]),
-            min_score=data["min_score"],
-            hint_datasets=frozenset(data["hint_datasets"]),
         )
 
     # -- cold-start replay -------------------------------------------------
@@ -697,27 +512,9 @@ class MarketStore:
                     "right_dataset, right_column"
                 )
             ]
-            edges = [
-                JoinPredicate(
-                    left_dataset=ld, right_dataset=rd,
-                    pairs=tuple(
-                        (a, b) for a, b in json.loads(pairs_json)
-                    ),
-                    score=score, evidence=evidence, pk_side=pk_side,
-                    fanout=(
-                        None if lr is None else FanoutEstimate(lr, rl)
-                    ),
-                )
-                for (ld, rd, _pos, pairs_json, score, evidence,
-                     pk_side, lr, rl)
-                in conn.execute(
-                    "SELECT * FROM graph_edges "
-                    "ORDER BY left_dataset, right_dataset, position"
-                )
-            ]
             graph_version = int(self._get_meta(conn, "graph_version", 0))
             market.index.restore_state(
-                profiles=profiles, candidates=candidates, edges=edges,
+                profiles=profiles, candidates=candidates,
                 graph_version=graph_version,
             )
             stored_fps = [
@@ -733,22 +530,6 @@ class MarketStore:
                     "persisted ones — the store is corrupt or was written "
                     "by an incompatible build"
                 )
-            restored: list[tuple[tuple, _PlanCacheEntry]] = []
-            for key_json, entry_json in conn.execute(
-                "SELECT cache_key, entry_json FROM plan_cache "
-                "WHERE graph_version = ? ORDER BY position",
-                (graph_version,),
-            ):
-                try:
-                    key = _untuple(json.loads(key_json))
-                    entry = self._entry_from_json(
-                        json.loads(entry_json), market
-                    )
-                except Exception:
-                    continue  # a stale/undecodable row is just a cache miss
-                restored.append((key, entry))
-            if restored:
-                market.planner.restore_plan_cache(restored)
             return len(rows)
 
     # -- service reads -----------------------------------------------------

@@ -131,6 +131,13 @@ def unpack_value(row: bytes) -> object:
     raise ValueError(f"packed row with tag {chr(tag)!r} is not reversible")
 
 
+def _saturated_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
 class ColumnarView:
     """Per-column caches for one immutable relation (built lazily)."""
 
@@ -241,7 +248,12 @@ class ColumnarView:
         values = self.values(name)
         if self.null_count(name):
             values = tuple(v for v in values if v is not None)
-        return np.asarray(values, dtype=float)
+        try:
+            return np.asarray(values, dtype=float)
+        except OverflowError:
+            # an int beyond the float range saturates to ±inf, which the
+            # numeric summary treats as it treats a float column's inf
+            return np.array([_saturated_float(v) for v in values])
 
     # -- the content identity ----------------------------------------------
     def content_digest(self) -> str:

@@ -896,6 +896,19 @@ def test_an_escaped_surrogate_pair_is_one_character(gateway):
     )
 
 
+@pytest.mark.parametrize("dtype", ["int", "float"])
+def test_an_int_beyond_the_float_range_registers(store_gateway, dtype):
+    big = 2 ** 1100
+    status, _ = post(store_gateway, "/datasets",
+                     one_cell_body(dtype, "%d], [-%d], [1" % (big, big)))
+    assert status == 201
+    market = store_gateway.service.market
+    assert market.metadata.relation("s").rows == ((big,), (-big,), (1,))
+    numeric = market.metadata.snapshot("s").profile.columns[0].numeric
+    assert (numeric.minimum, numeric.maximum) == (float("-inf"),
+                                                  float("inf"))
+
+
 def test_the_module_entry_point_runs_one_copy_of_the_gateway():
     """``python -m repro.platform.http`` (how marketbench starts its
     gateway) imports no second copy of the module: runpy warns when the

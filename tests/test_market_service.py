@@ -176,14 +176,3 @@ def test_store_backed_service_lists_and_searches(tmp_path):
         assert cursor2 is None
         if market.store.has_fts:
             assert {h["dataset"] for h in svc.search_text("ds1")} == {"ds1"}
-
-
-def test_close_persists_plan_cache_for_warm_restart(tmp_path):
-    path = str(tmp_path / "m.db")
-    market = DataMarket(store=path)
-    with MarketService(market) as svc:
-        svc.register_dataset(rel("base"), "acme").result(10)
-        assert svc.plan(["base_val"]).cached is False
-    # context exit closed the service, which persisted the plan cache
-    replayed = DataMarket(store=path)
-    assert replayed.plan(["base_val"]).cached is True

@@ -3,13 +3,17 @@
 The property under test is *bit-identical replay*: a market cold-started
 from the store must answer exactly like the process that wrote it — same
 ``graph_version``, same column profiles (signatures included), same join
-candidates and graph edges with their fan-out estimates, same search and
-plan results.  Plus the service reads the store answers directly:
-keyset-cursor listing and FTS dataset search.
+candidates with their fan-out estimates, the same graph edges derived from
+them, same search and plan results.  Plus the service reads the store
+answers directly: keyset-cursor listing and FTS dataset search.
 """
 
 from __future__ import annotations
 
+import json
+import sqlite3
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -77,6 +81,15 @@ def profile_record(market, dataset):
     ]
 
 
+def edge_map(market) -> dict:
+    """The relationship graph's edges with their data, whatever order they
+    were inserted in (the live graph's order follows its delta history)."""
+    return {
+        (frozenset((u, v)), key): data
+        for u, v, key, data in market.index.graph.edges(keys=True, data=True)
+    }
+
+
 # ---------------------------------------------------------------------------
 # cold-start replay is bit-identical
 # ---------------------------------------------------------------------------
@@ -96,8 +109,7 @@ def test_cold_start_replay_is_bit_identical(tmp_path, seed):
         )
         assert replayed.index.dataset_candidates(ds) == \
             live.index.dataset_candidates(ds)
-        assert replayed.index.dataset_edges(ds) == \
-            live.index.dataset_edges(ds)
+    assert edge_map(replayed) == edge_map(live)
     assert (
         replayed.index.component_fingerprints()
         == live.index.component_fingerprints()
@@ -195,9 +207,37 @@ def test_tuple_cells_round_trip_as_tuples(tmp_path):
         assert type(blob[2]) is list and type(blob[2][1]) is tuple
 
 
-def _replace_relation_json(path, value) -> None:
-    import sqlite3
+def test_ints_beyond_the_float_range_register_and_replay(tmp_path):
+    """Such an int is carried exactly; its numeric summary sees ±inf, as
+    for a float column's inf."""
+    path = tmp_path / "market.db"
+    market = DataMarket(store=str(path))
+    big = 2 ** 1100
+    huge = Relation(
+        "huge",
+        [Column("cust_id", "int"), Column("n", "int"),
+         Column("total", "float")],
+        [(1, big, 1.5), (2, -big, big), (3, None, 0.5)],
+    )
+    market.register_dataset(huge, seller="acme")
+    market.register_dataset(make_corpus()[1], seller="acme")
+    n, total = market.metadata.snapshot("huge").profile.columns[1:]
+    assert (n.numeric.minimum, n.numeric.maximum) == (-np.inf, np.inf)
+    assert total.numeric.maximum == np.inf
+    assert [h.dataset for h in market.search(["n"]).hits] == ["huge"]
+    plan = market.plan(["n", "name"])
+    assert plan.mashups
 
+    replayed = DataMarket(store=str(path))
+    assert replayed.metadata.relation("huge").rows == huge.rows
+    # repr: the summary's mean and std are NaN
+    assert repr(profile_record(replayed, "huge")) == \
+        repr(profile_record(market, "huge"))
+    assert [m.relation.rows for m in replayed.plan(["n", "name"]).mashups] \
+        == [m.relation.rows for m in plan.mashups]
+
+
+def _replace_relation_json(path, value) -> None:
     conn = sqlite3.connect(path)
     conn.execute("UPDATE datasets SET relation_json = ?", (value,))
     conn.commit()
@@ -252,39 +292,126 @@ def test_stored_pickle_runs_no_code(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# plan-cache persistence
+# stores written when graph edges and the plan cache were stored too
 # ---------------------------------------------------------------------------
 
-def test_plan_cache_replays_warm(tmp_path):
+_OLD_LAYOUT_DDL = """
+CREATE TABLE graph_edges (
+    left_dataset  TEXT NOT NULL,
+    right_dataset TEXT NOT NULL,
+    position      INTEGER NOT NULL,
+    pairs_json    TEXT NOT NULL,
+    score         REAL NOT NULL,
+    evidence      TEXT NOT NULL,
+    pk_side       TEXT,
+    fanout_lr     REAL,
+    fanout_rl     REAL,
+    PRIMARY KEY (left_dataset, right_dataset, position)
+);
+CREATE TABLE plan_cache (
+    cache_key     TEXT PRIMARY KEY,
+    position      INTEGER NOT NULL,
+    graph_version INTEGER NOT NULL,
+    entry_json    TEXT NOT NULL
+);
+"""
+
+
+def _add_old_layout_rows(path, market) -> None:
+    """Write the edge rows an older schema-6 build kept next to the
+    candidates (one row per predicate, numbered per dataset pair in the
+    graph's order) and one plan-cache row."""
+    conn = sqlite3.connect(path)
+    conn.executescript(_OLD_LAYOUT_DDL)
+    positions: dict[tuple[str, str], int] = {}
+    for u, v, data in market.index.graph.edges(data=True):
+        left = data["left_dataset"]
+        pair = (left, v if left == u else u)
+        fan = data["fanout"]
+        conn.execute(
+            "INSERT INTO graph_edges VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                *pair, positions.setdefault(pair, 0),
+                json.dumps([list(p) for p in data["pairs"]]),
+                data["score"], data["evidence"], data["pk_side"],
+                None if fan is None else fan.lr,
+                None if fan is None else fan.rl,
+            ),
+        )
+        positions[pair] += 1
+    conn.execute(
+        "INSERT INTO plan_cache VALUES (?, 0, ?, ?)",
+        (json.dumps([["name", "total"], None, 0.0]), market.graph_version,
+         json.dumps({"mashups": []})),
+    )
+    conn.commit()
+    conn.close()
+
+
+def _tables(path) -> set[str]:
+    conn = sqlite3.connect(path)
+    tables = {n for (n,) in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'"
+    )}
+    conn.close()
+    return tables
+
+
+def test_an_old_layout_store_replays_as_before(tmp_path):
     live, path = seeded_store_market(tmp_path)
-    attrs = ["total", "name"]
-    cold = live.plan(attrs)
-    assert cold.cached is False
-    live.persist_plan_cache()
-
-    replayed = DataMarket(store=str(path))
-    warm = replayed.plan(attrs)
-    assert warm.cached is True
-    assert warm.as_of == cold.as_of
-    for a, b in zip(cold.mashups, warm.mashups):
-        assert a.plan.describe() == b.plan.describe()
-        assert a.relation.rows == b.relation.rows
-
-
-def test_stale_plan_cache_rows_are_pruned_by_later_deltas(tmp_path):
-    live, path = seeded_store_market(tmp_path)
-    live.plan(["total", "name"])
-    live.persist_plan_cache()
-    stale_version = live.graph_version
+    # a weaker pair that sorts first, so score order is not pair order
     live.register_dataset(
-        Relation("extra", [Column("cust_id", "int")],
-                 [(i,) for i in range(7)]),
+        Relation("zones", [Column("city", "str")],
+                 [("city0",), ("city1",), ("city8",), ("city9",)]),
         seller="acme",
     )
-    assert live.graph_version > stale_version
+    _add_old_layout_rows(path, live)
+    conn = sqlite3.connect(path)
+    order = [d for (d,) in conn.execute(
+        "SELECT dataset FROM datasets ORDER BY reg_order"
+    )]
+    rows = conn.execute(
+        "SELECT left_dataset, right_dataset, pairs_json "
+        "FROM graph_edges ORDER BY left_dataset, right_dataset, position"
+    ).fetchall()
+    conn.close()
+    assert rows
+    # the older build replayed the edge rows in this order, one edge each
+    before = nx.MultiGraph()
+    before.add_nodes_from(order)
+    for left, right, pairs_json in rows:
+        before.add_edge(
+            left, right, key=tuple(tuple(p) for p in json.loads(pairs_json))
+        )
+
     replayed = DataMarket(store=str(path))
-    # the delta pruned the stale rows; the replayed cache starts cold
+    graph = replayed.index.graph
+    assert list(graph.edges(keys=True)) == list(before.edges(keys=True))
+    assert {ds: list(graph.adj[ds]) for ds in order} == \
+        {ds: list(before.adj[ds]) for ds in order}
+    assert edge_map(replayed) == edge_map(live)
+    assert (
+        replayed.index.component_fingerprints()
+        == live.index.component_fingerprints()
+    )
     assert replayed.plan(["total", "name"]).cached is False
+    # gone, so the older build refuses the store rather than replay rows
+    # that later deltas no longer update
+    assert not _tables(path) & {"graph_edges", "plan_cache"}
+
+
+def test_a_refused_store_keeps_its_tables(tmp_path):
+    live, path = seeded_store_market(tmp_path)
+    _add_old_layout_rows(path, live)
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "UPDATE store_meta SET value = '5' WHERE key = 'schema_version'"
+    )
+    conn.commit()
+    conn.close()
+    with pytest.raises(StoreError, match="schema version 5"):
+        MarketStore(path)
+    assert {"graph_edges", "plan_cache"} <= _tables(path)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +515,6 @@ def test_schema_version_mismatch_refused(tmp_path):
     """A store of the previous layouts (schema 5: pickled rows; schema 4:
     row-order content hashes and an LSH bucket table) is refused like one
     of an unknown version."""
-    import sqlite3
-
     for version in ("4", "5", "999"):
         path = tmp_path / f"market{version}.db"
         MarketStore(path)
