@@ -56,8 +56,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..discovery import (
     DiscoveryEngine,
     IndexBuilder,
@@ -303,6 +301,9 @@ class DoDEngine:
         #: identity token guards against a re-attach to a different index
         #: whose version counter happens to coincide
         self._path_cache: dict[tuple, object] = {}
+        #: per dataset, its neighbours and the cost of stepping to each,
+        #: valid for the same graph version as the path memo
+        self._step_cache: dict[str, tuple] = {}
         self._path_cache_version = -1
         self._path_cache_index: IndexBuilder | None = None
         #: serializes cache mutation against concurrent readers — the
@@ -334,6 +335,7 @@ class DoDEngine:
             # to a *different* index whose graph_version coincides with the
             # memoized one would otherwise serve paths from the old graph
             self._path_cache.clear()
+            self._step_cache.clear()
             self._path_cache_version = -1
             self._path_cache_index = None
 
@@ -911,22 +913,39 @@ class DoDEngine:
     def _cost_path(self, start: str, target: str) -> list[JoinPredicate]:
         """Minimum-cost join path under the fan-out cost model.
 
-        A callable weight on a MultiGraph receives the keyed dict of all
-        parallel edges; the pair's traversal cost is its cheapest
-        predicate's.  Step reconstruction re-picks that predicate with a
-        deterministic tie-break (best score, then widest composite)."""
+        Dijkstra keyed on (cost, the path's dataset names): of two paths
+        that cost the same, the one whose names sort first wins, whatever
+        order the graph's edges were added in — so a live market and its
+        cold start plan the same mashup.  A pair's traversal cost is its
+        cheapest parallel predicate's.  Step reconstruction re-picks that
+        predicate with a deterministic tie-break (best score, then widest
+        composite)."""
         g = self.index.graph
-        try:
-            nodes = nx.shortest_path(
-                g, start, target,
-                weight=lambda u, v, d: min(
-                    self._edge_cost(u, v, attrs) for attrs in d.values()
-                ),
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        nodes = None
+        if start in g and target in g:
+            best = {start: (0.0, (start,))}
+            frontier = [best[start]]
+            done = set()
+            while frontier:
+                cost, path = heapq.heappop(frontier)
+                u = path[-1]
+                if u == target:
+                    nodes = path
+                    break
+                if u in done:
+                    continue
+                done.add(u)
+                for v, step in self._steps_from(u):
+                    if v in done:
+                        continue
+                    key = (cost + step, path + (v,))
+                    if v not in best or key < best[v]:
+                        best[v] = key
+                        heapq.heappush(frontier, key)
+        if nodes is None:
             raise DiscoveryError(
                 f"no join path between {start!r} and {target!r}"
-            ) from None
+            )
         steps = []
         for u, v in zip(nodes, nodes[1:]):
             d = min(
@@ -945,6 +964,18 @@ class DoDEngine:
             steps.append(pred)
         return steps
 
+    def _steps_from(self, u: str) -> tuple[tuple[str, float], ...]:
+        """``u``'s neighbours in the join graph, each with the cost of
+        stepping to it (its cheapest parallel predicate's), memoized with
+        the join paths."""
+        steps = self._step_cache.get(u)
+        if steps is None:
+            steps = self._step_cache[u] = tuple(
+                (v, min(self._edge_cost(u, v, a) for a in edges.values()))
+                for v, edges in self.index.graph.adj[u].items()
+            )
+        return steps
+
     def _path_for(
         self, start: str, target: str
     ) -> list[JoinPredicate] | None:
@@ -956,6 +987,7 @@ class DoDEngine:
             or self._path_cache_index is not self.index
         ):
             self._path_cache.clear()
+            self._step_cache.clear()
             self._path_cache_version = version
             self._path_cache_index = self.index
         key = (start, target)

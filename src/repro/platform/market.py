@@ -296,11 +296,13 @@ class DataMarket:
     def _accept(
         self, relation, seller, reserve_price, license, policy, created
     ) -> RegisterResult:
-        # encoded before any engine changes: a cell the store cannot hold
-        # is refused with the market untouched
+        # the store's payload and the content digest (memoized for the
+        # registration) are built before any engine changes: a cell
+        # either cannot take is refused with the market untouched
         payload = (
             relation_to_payload(relation) if self._store is not None else None
         )
+        relation.content_hash()
         self.arbiter.accept_dataset(
             relation,
             seller=seller,

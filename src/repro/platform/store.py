@@ -261,15 +261,6 @@ class MarketStore:
         ).fetchone()
         return default if row is None else row[0]
 
-    def graph_version(self) -> int:
-        """The persisted join-graph version (0 for an empty store)."""
-        with self._connect() as conn:
-            return int(self._get_meta(conn, "graph_version", 0))
-
-    def dataset_count(self) -> int:
-        with self._connect() as conn:
-            return conn.execute("SELECT COUNT(*) FROM datasets").fetchone()[0]
-
     # -- payload codecs ----------------------------------------------------
     @staticmethod
     def _license_json(license: License, policy: ContextualIntegrityPolicy):

@@ -34,6 +34,14 @@ assumed to be plain scalars or ``None`` per schema validation; only
 int/float/bool columns whose cells are the exact builtin types pack —
 ``any``-typed columns (which may hold lists or other containers) and
 numeric columns holding subclasses (IntEnum) take ``repr``.
+
+The columnar engine's equi-joins read two more caches: an int or bool
+column of exact builtin cells within int64 has its **join keys**
+(:meth:`ColumnarView.join_keys`, a read-only int64 vector and a null
+mask) and their stable sort (:meth:`ColumnarView.join_order`), which a
+join probes.  Both are built on a leaf's first join and serve every
+later plan over it, so :meth:`ColumnarView.release` keeps them, as it
+keeps the value vectors they come from.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ import struct
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ..errors import InvalidRequestError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .relation import Relation
@@ -59,6 +69,10 @@ _EXACT_TYPES = {
     "bool": frozenset((bool, type(None))),
     "float": frozenset((float, int, type(None))),
 }
+
+#: runtime types of an int or bool column that has int64 join keys:
+#: ``True`` is 1 and ``False`` is 0, as ``==`` (and so a dict probe) says
+_JOIN_KEY_TYPES = frozenset((int, bool, type(None)))
 
 # -- repr-free canonical packing (the sketch's numeric tokens) -------------
 #
@@ -138,12 +152,33 @@ def _saturated_float(value) -> float:
         return np.inf if value > 0 else -np.inf
 
 
+def sort_join_keys(
+    keys: np.ndarray, nulls: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(the non-null int64 keys in ascending order, the rows holding
+    them).  The sort is stable, so rows with equal keys stay in row
+    order: the order a join lists one left row's matches in."""
+    if nulls is None:
+        order = np.argsort(keys, kind="stable")
+    else:
+        rows = np.flatnonzero(~nulls)
+        order = rows[np.argsort(keys[rows], kind="stable")]
+    return keys[order], order
+
+
 class ColumnarView:
-    """Per-column caches for one immutable relation (built lazily)."""
+    """Per-column caches for one immutable relation (built lazily).
+
+    The caches of one registration pass (ranks and their encoded heads,
+    packed rows, numeric arrays) are dropped by :meth:`release`.  The
+    value vectors, null counts and the join caches (:meth:`join_keys`,
+    :meth:`join_order`) stay for the relation's lifetime: every plan that
+    joins the relation reads them again."""
 
     __slots__ = (
         "_relation", "_values", "_nulls", "_exact", "_ranked", "_heads",
-        "_packed", "_packed_distinct", "_numeric",
+        "_packed", "_packed_distinct", "_numeric", "_join_keys",
+        "_join_order",
     )
 
     def __init__(self, relation: "Relation"):
@@ -163,6 +198,10 @@ class ColumnarView:
         self._packed: dict[str, np.ndarray] = {}
         #: (distinct packed rows, counts) over non-null values
         self._packed_distinct: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        #: (int64 keys, null mask or None), or None for a column without
+        self._join_keys: dict[str, tuple | None] = {}
+        #: (ascending non-null keys, their rows), or None likewise
+        self._join_order: dict[str, tuple | None] = {}
 
     # -- raw vectors -------------------------------------------------------
     def materialize(self) -> None:
@@ -230,8 +269,9 @@ class ColumnarView:
         *one* registration pass; afterwards they would otherwise stay
         pinned for the relation's lifetime.  The value vectors stay — they
         alias the row tuples' objects and keep ``column()``/``project()``
-        fast.  Everything released is rebuilt lazily if asked for
-        again."""
+        fast — and so do the join caches, which every later join over the
+        relation reads.  Everything released is rebuilt lazily if asked
+        for again."""
         self._ranked.clear()
         self._heads.clear()
         self._packed.clear()
@@ -322,16 +362,24 @@ class ColumnarView:
         """Update the hash ``h`` with a ranked column's sorted distinct
         strings (their count, int64 lengths and UTF-8, encoded once for
         the content digest and the column hash) and return its cells'
-        ranks."""
+        ranks.  A str with a lone surrogate has no UTF-8 form: it is an
+        :class:`~repro.errors.InvalidRequestError` naming the column."""
         distinct, ranks = self.ranks(name)
         head = self._heads.get(name)
         if head is None:
+            try:
+                text = "".join(distinct).encode()
+            except UnicodeEncodeError:
+                raise InvalidRequestError(
+                    f"column {name!r} holds a str with a lone surrogate "
+                    f"(U+D800 to U+DFFF), which has no UTF-8 form"
+                ) from None
             head = self._heads[name] = b"".join((
                 struct.pack("<q", len(distinct)),
                 np.fromiter(
                     map(len, distinct), dtype="<i8", count=len(distinct)
                 ).tobytes(),
-                "".join(distinct).encode(),
+                text,
             ))
         h.update(head)
         return ranks
@@ -479,3 +527,61 @@ class ColumnarView:
                 rows = uniq.view(np.uint8).reshape(-1, PACK_WIDTH)
             pair = self._packed_distinct[name] = (rows, counts)
         return pair
+
+    # -- join keys (the columnar engine's equi-join) ------------------------
+    def join_keys(
+        self, name: str
+    ) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """(the column as a read-only int64 vector, a read-only mask of
+        its null cells or None when it has none), for an int or bool
+        column whose cells are all exact builtin ints or bools within
+        int64; ``True`` is 1, as ``==`` says.  A null cell's slot holds 0,
+        and the mask marks it so it never joins.  None for every other
+        column: float, str, ``any``, subclass cells (IntEnum) and ints
+        beyond int64.  Cached."""
+        try:
+            return self._join_keys[name]
+        except KeyError:
+            pass
+        keys = None
+        values = self.values(name)
+        if self._relation.schema[name].dtype in ("int", "bool") and frozenset(
+            map(type, values)
+        ) <= _JOIN_KEY_TYPES:
+            n = len(values)
+            nulls = None
+            try:
+                if self.null_count(name):
+                    nulls = np.fromiter(
+                        (v is None for v in values), dtype=bool, count=n
+                    )
+                    nulls.setflags(write=False)
+                    vec = np.fromiter(
+                        (0 if v is None else v for v in values),
+                        dtype=np.int64, count=n,
+                    )
+                else:
+                    vec = np.fromiter(values, dtype=np.int64, count=n)
+            except OverflowError:
+                pass  # an int beyond int64: the dict kernel joins it
+            else:
+                vec.setflags(write=False)
+                keys = (vec, nulls)
+        self._join_keys[name] = keys
+        return keys
+
+    def join_order(self, name: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """:func:`sort_join_keys` of the column's :meth:`join_keys` (None
+        when it has none): the side of a join that is probed.  Cached."""
+        try:
+            return self._join_order[name]
+        except KeyError:
+            pass
+        keys = self.join_keys(name)
+        order = None
+        if keys is not None:
+            order = sort_join_keys(*keys)
+            for arr in order:
+                arr.setflags(write=False)
+        self._join_order[name] = order
+        return order

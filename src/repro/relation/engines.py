@@ -16,6 +16,17 @@ per-row products only when its ``provenance`` is first read; a leaf's own
 deferred tags are built then, once, and shared by every relation collected
 over that leaf.
 
+A join picks one of three kernels, all giving the same (left, right) row
+pairs in the same order.  A single key whose two columns both have int64
+join keys (int or bool columns of exact builtin cells within int64,
+:meth:`~repro.relation.columnar.ColumnarView.join_keys`) is matched in
+int64: the left keys are taken through the batch's row indexes and
+binary-searched in the right side's stable sort, which a leaf caches on
+its columnar view.  Any other single scalar key (str, float, and int
+columns holding IntEnum cells or ints beyond int64) takes a dict probe,
+and composite or ``any``-typed keys the tuple kernel.  Only those two
+build object key vectors.
+
 The engine is **bit-identical** to the eager
 :class:`~repro.relation.relation.Relation` operators applied node-for-node
 (the iteration oracle the test suite keeps): same rows in the same order,
@@ -39,7 +50,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import SchemaError
-from .columnar import SCALAR_DTYPES
+from .columnar import SCALAR_DTYPES, sort_join_keys
 from .predicates import Predicate, _bool_mask, _scalar_operand
 from .provenance import DeferredProvenance
 from .relation import Relation, _freeze
@@ -113,7 +124,8 @@ class _RelationSource:
 
 
 class _ValueSource:
-    """A computed (extend) column: values only, no provenance of its own."""
+    """A computed (extend) column: values only, no provenance of its own
+    and no int64 join keys."""
 
     __slots__ = ("array",)
     provenance = None
@@ -153,6 +165,33 @@ class _Batch:
         idx = self.indexes[src_i]
         return arr if idx is None else arr[idx]
 
+    def join_keys(self, pos: int):
+        """The column's int64 join keys and null mask
+        (:meth:`~repro.relation.columnar.ColumnarView.join_keys`) taken
+        through the row index, or None when it has none."""
+        src_i, src_name, _col = self.cols[pos]
+        source = self.sources[src_i]
+        if not isinstance(source, _RelationSource):
+            return None
+        keys = source.relation.columnar.join_keys(src_name)
+        idx = self.indexes[src_i]
+        if keys is None or idx is None:
+            return keys
+        vec, nulls = keys
+        return vec[idx], None if nulls is None else nulls[idx]
+
+    def join_order(self, pos: int):
+        """The column's non-null int64 join keys in ascending order and
+        the batch rows holding them, or None when it has none: the leaf's
+        cached sort while the batch keeps the leaf's rows, else sorted
+        here."""
+        src_i, src_name, _col = self.cols[pos]
+        source = self.sources[src_i]
+        if self.indexes[src_i] is None and isinstance(source, _RelationSource):
+            return source.relation.columnar.join_order(src_name)
+        keys = self.join_keys(pos)
+        return None if keys is None else sort_join_keys(*keys)
+
     def position(self, name: str) -> int:
         for p, (_si, _sn, col) in enumerate(self.cols):
             if col.name == name:
@@ -187,80 +226,38 @@ def _conditions_mask(
 # same order as the eager operator — left rows ascending, and per left row
 # its right matches ascending)
 # ---------------------------------------------------------------------------
-#: dtypes whose values sort under ``np.unique`` and whose dict-key
-#: semantics ``==`` reproduces exactly.  ``float`` is excluded: a NaN key
-#: matches itself *by identity* in a dict probe, while the factorize
-#: kernel's ``==`` grouping can never match NaN — the dict kernels keep
-#: that bit-identity instead.
-_FACTORIZE_DTYPES = frozenset(("int", "str", "bool"))
-
-
-def _factorizable(ldt: str, rdt: str) -> bool:
-    """True when both key columns may take the factorize kernel: sortable
-    dtypes, and mutually comparable (mixed int/bool sorts fine; mixed
-    int/str would raise mid-sort)."""
-    if ldt not in _FACTORIZE_DTYPES or rdt not in _FACTORIZE_DTYPES:
-        return False
-    return ldt == rdt or {ldt, rdt} <= {"int", "bool"}
-
-
-def _not_none(arr: np.ndarray) -> np.ndarray:
-    return np.fromiter(
-        (v is not None for v in arr), dtype=bool, count=len(arr)
-    )
-
-
-_EMPTY_TAKE = (
-    np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-)
-
-
-def _factorize_join(
-    lk: np.ndarray, rk: np.ndarray
+def _int_join(
+    lkeys: np.ndarray,
+    lnulls: np.ndarray | None,
+    rsorted: np.ndarray,
+    rorder: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized single-key equi-join: factorize both key vectors into
-    integer codes with one ``np.unique`` over the concatenated non-null
-    keys, group the right side by code with a stable argsort, and expand
-    each left row's match run with a repeat/cumsum ramp — no per-row
-    Python in the match phase."""
-    lrows = np.flatnonzero(_not_none(lk))
-    rrows = np.flatnonzero(_not_none(rk))
-    if lrows.size == 0 or rrows.size == 0:
-        return _EMPTY_TAKE
-    lvals = lk[lrows]
-    rvals = rk[rrows]
-    _uniq, inv = np.unique(
-        np.concatenate([lvals, rvals]), return_inverse=True
-    )
-    lcodes = inv[: lvals.size]
-    rcodes = inv[lvals.size:]
-    counts = np.bincount(rcodes, minlength=int(inv.max()) + 1)
-    order = np.argsort(rcodes, kind="stable")
-    group_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    cnt = counts[lcodes]  # matches per (non-null) left row
-    total = int(cnt.sum())
-    if total == 0:
-        return _EMPTY_TAKE
-    lpos = np.repeat(lrows, cnt)
+    """Single-key equi-join on int64 keys: two binary searches find each
+    left key's run of equal keys in the right side's stable sort
+    (:func:`~repro.relation.columnar.sort_join_keys`), and a repeat/cumsum
+    ramp expands the runs — no per-row Python.  Null left rows match
+    nothing; null right rows are not in the sort."""
+    lo = np.searchsorted(rsorted, lkeys, "left")
+    cnt = np.searchsorted(rsorted, lkeys, "right") - lo
+    if lnulls is not None:
+        cnt[lnulls] = 0
+    ltake = np.repeat(np.arange(lkeys.size, dtype=np.intp), cnt)
     # per output row: its offset within its left row's run, shifted to
-    # that run's slice of `order`
-    run_end = np.cumsum(cnt)
-    ramp = (
-        np.arange(total, dtype=np.intp)
-        - np.repeat(run_end - cnt, cnt)
-        + np.repeat(group_start[lcodes], cnt)
+    # the start of that row's run in the right sort
+    ramp = np.arange(ltake.size, dtype=np.intp) - np.repeat(
+        np.cumsum(cnt) - cnt - lo, cnt
     )
-    rpos = rrows[order[ramp]]
-    return lpos.astype(np.intp, copy=False), rpos.astype(np.intp, copy=False)
+    return ltake, rorder[ramp]
 
 
 def _scalar_join(
     lk: np.ndarray, rk: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dict hash join on bare scalar keys: skips the one-element tuple
-    and ``_freeze`` call per row of the generic kernel.  Scalar dict
-    probes share the tuple kernel's identity-then-equality semantics
-    (NaN keys match only themselves), so the two are bit-identical."""
+    """Dict hash join on bare scalar keys (str and float keys, and int
+    keys without int64 join keys): skips the one-element tuple and
+    ``_freeze`` call per row of the generic kernel.  Scalar dict probes
+    share the tuple kernel's identity-then-equality semantics (NaN keys
+    match only themselves), so the two are bit-identical."""
     table: dict = {}
     for j, v in enumerate(rk.tolist()):
         if v is not None:
@@ -449,28 +446,26 @@ class ColumnarEngine(Engine):
         return _Batch(batch.name, sources, indexes, cols, batch.nrows)
 
     def _join(self, left: _Batch, right: _Batch, node: Join) -> _Batch:
-        # key vectors (already index-composed views of the leaf columns)
-        lkeys = [
-            left.column_array(left.position(lc)) for lc, _rc in node.pairs
-        ]
-        rkeys = [
-            right.column_array(right.position(rc)) for _lc, rc in node.pairs
-        ]
+        lpos = [left.position(lc) for lc, _rc in node.pairs]
+        rpos = [right.position(rc) for _lc, rc in node.pairs]
         taken = None
         if len(node.pairs) == 1:
-            ldt = left.cols[left.position(node.pairs[0][0])][2].dtype
-            rdt = right.cols[right.position(node.pairs[0][1])][2].dtype
-            if _factorizable(ldt, rdt):
-                try:
-                    taken = _factorize_join(lkeys[0], rkeys[0])
-                except TypeError:
-                    # a cell violating its declared dtype broke the sort:
-                    # the dict kernels reproduce the oracle regardless
-                    taken = None
-            if taken is None and ldt in SCALAR_DTYPES and rdt in SCALAR_DTYPES:
-                taken = _scalar_join(lkeys[0], rkeys[0])
+            lkeys = left.join_keys(lpos[0])
+            rorder = None if lkeys is None else right.join_order(rpos[0])
+            if rorder is not None:
+                taken = _int_join(*lkeys, *rorder)
+            elif (
+                left.cols[lpos[0]][2].dtype in SCALAR_DTYPES
+                and right.cols[rpos[0]][2].dtype in SCALAR_DTYPES
+            ):
+                taken = _scalar_join(
+                    left.column_array(lpos[0]), right.column_array(rpos[0])
+                )
         if taken is None:
-            taken = _tuple_join(lkeys, rkeys)
+            taken = _tuple_join(
+                [left.column_array(p) for p in lpos],
+                [right.column_array(p) for p in rpos],
+            )
         ltake, rtake = taken
         indexes = [_compose(idx, ltake) for idx in left.indexes]
         indexes += [_compose(idx, rtake) for idx in right.indexes]

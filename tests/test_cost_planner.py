@@ -317,3 +317,67 @@ def test_path_memo_not_served_after_reattach_to_other_index():
     assert dod.last_stats.path_cache_misses > 0
     assert dod._path_cache_index is b.index
     assert row_bag(mashups[0]) == row_bag(b.build(REQUEST)[0])
+
+
+# ---------------------------------------------------------------------------
+# equal-cost paths: one plan whatever the hash seed, live or cold-started
+# ---------------------------------------------------------------------------
+
+_TIE_SCRIPT = """
+import json, os, tempfile
+from repro import DataMarket
+from repro.relation import Column, Relation
+
+def rel(name, cols, rows):
+    return Relation(name, [Column(c, "int") for c in cols], rows)
+
+def joins(market):
+    best = market.plan(["sv", "tv"]).best
+    return [best.plan.base] + [step.dataset for step in best.plan.joins]
+
+with tempfile.TemporaryDirectory() as work:
+    path = os.path.join(work, "market.db")
+    market = DataMarket(store=path)
+    # a and b hold the same rows: s-a-t and s-b-t cost the same
+    for name, cols, rows in (
+        ("s", ["k", "sv"], [(i, 3 * i) for i in range(40)]),
+        ("b", ["k", "m"], [(i, i + 100) for i in range(40)]),
+        ("a", ["k", "m"], [(i, i + 100) for i in range(40)]),
+        ("t", ["m", "tv"], [(i + 100, 7 * i) for i in range(40)]),
+    ):
+        market.register_dataset(rel(name, cols, rows), seller="x")
+    print(json.dumps([joins(market), joins(DataMarket(store=path))]))
+"""
+
+
+def test_equal_cost_paths_plan_alike_under_every_hash_seed():
+    """Live edges are added in the iteration order of a set of names and
+    replay adds them in sorted order, so the graph's adjacency order
+    depends on the hash seed and on the history; the path search must not
+    break cost ties by it."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    procs = []
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _TIE_SCRIPT], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+    plans = set()
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        live, cold = json.loads(out)
+        plans.update((tuple(live), tuple(cold)))
+    assert plans == {("s", "a", "t")}

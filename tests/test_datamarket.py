@@ -116,6 +116,30 @@ def test_update_unknown_dataset_is_typed_error():
         market.update_dataset(make_dataset("ghost", ["alpha"]), seller="s0")
 
 
+@pytest.mark.parametrize("store", [False, True])
+def test_a_lone_surrogate_cell_is_refused_before_any_change(tmp_path, store):
+    """A str cell with a lone surrogate has no UTF-8 form, so no content
+    digest: register and update refuse it with a typed error naming the
+    column, and the market (ledger included) is left as it was."""
+    market = DataMarket(store=str(tmp_path / "m.db") if store else None)
+    market.register_dataset(make_dataset("held", ["alpha"]), seller="s1")
+    version, accounts = market.graph_version, set(market.ledger.accounts)
+    bad = Relation("fresh", [Column("c", "str")], [("\ud800",), ("a",)])
+    with pytest.raises(InvalidRequestError, match="column 'c'"):
+        market.register_dataset(bad, seller="newcomer")
+    rows = [(1, "ok"), (2, "\udfff")]
+    stale = Relation("held", [Column("entity_id", "int"),
+                              Column("alpha", "str")], rows)
+    with pytest.raises(InvalidRequestError, match="column 'alpha'"):
+        market.update_dataset(stale, seller="s1")
+    assert market.graph_version == version
+    assert set(market.ledger.accounts) == accounts
+    assert market.datasets == ["held"]
+    assert market.metadata.snapshot("held").version == 1
+    if store:
+        assert DataMarket(store=str(tmp_path / "m.db")).datasets == ["held"]
+
+
 def test_update_by_other_seller_is_ownership_error():
     market = DataMarket(internal_market())
     market.register_dataset(make_dataset("ds_a", ["alpha"]), seller="s0")

@@ -10,12 +10,14 @@ same version even while writers churn.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro import DataMarket
-from repro.errors import DuplicateDatasetError
+from repro.errors import DuplicateDatasetError, InvalidRequestError
 from repro.platform import MarketService, ServiceError
 from repro.relation import Column, Relation
 
@@ -56,6 +58,15 @@ def test_ticket_reraises_facade_errors_in_caller_thread(service):
         bad.result(10)
     assert service.stats()["writes_failed"] == 1
     # the worker survives a failed op and keeps draining
+    assert service.register_dataset(rel("next"), "acme").result(10).created
+
+
+def test_ticket_reraises_a_lone_surrogate_as_a_typed_error(service):
+    bad = Relation("s", [Column("c", "str")], [("\ud800",), ("a",)])
+    ticket = service.register_dataset(bad, "acme")
+    with pytest.raises(InvalidRequestError, match="column 'c'"):
+        ticket.result(10)
+    assert service.market.datasets == []
     assert service.register_dataset(rel("next"), "acme").result(10).created
 
 
@@ -136,6 +147,105 @@ def test_pinned_readers_see_consistent_versions_under_churn(service):
     stop.set()
     assert errors == []
     assert service.stats()["writes_failed"] == 0
+
+
+def star_relations() -> list[Relation]:
+    """A small star over int and bool keys, built afresh on every call so
+    each market builds its own join caches."""
+    return [
+        Relation("orders", [Column("order_id", "int"),
+                            Column("cust_id", "int"),
+                            Column("prod_id", "int"),
+                            Column("amount", "float")],
+                 [(i, i % 30, i % 20, float(i)) for i in range(90)]),
+        Relation("customers", [Column("cust_id", "int"),
+                               Column("city", "str")],
+                 [(c, f"city{c % 7}") for c in range(30)]),
+        Relation("products", [Column("prod_id", "int"),
+                              Column("price", "float"),
+                              Column("promo", "bool")],
+                 [(p, 1.5 * p, p % 3 == 0) for p in range(20)]),
+        Relation("reviews", [Column("prod_id", "int"), Column("stars", "int")],
+                 [(r % 20, r % 5) for r in range(50)]),
+    ]
+
+
+STAR_REQUESTS = (
+    ("amount", "city"), ("amount", "price"), ("city", "price"),
+    ("amount", "stars"), ("city", "stars", "promo"),
+)
+
+
+def star_service() -> MarketService:
+    # no plan cache: every plan builds new trees, so every collect joins
+    service = MarketService(DataMarket(plan_cache=False))
+    for relation in star_relations():
+        service.register_dataset(relation, "acme").result(10)
+    return service
+
+
+def answer(service: MarketService, attributes) -> tuple:
+    result = service.plan(list(attributes))
+    return tuple(
+        (r.name, r.schema.names, r.rows, r.provenance)
+        for r in result.collect()
+    )
+
+
+def test_concurrent_plans_and_collects_answer_as_one_thread_does():
+    """8 reader threads plan and collect on one market while the GIL
+    switches every 10 µs, and every answer equals the single-thread one.
+    The planner runs one build at a time; reading each answer's
+    provenance runs in the threads at once."""
+    single = star_service()
+    try:
+        expected = {a: answer(single, a) for a in STAR_REQUESTS}
+        joined = [
+            len(m.plan.joins)
+            for a in STAR_REQUESTS for m in single.plan(list(a)).mashups
+        ]
+    finally:
+        single.close()
+    assert max(joined) >= 2  # the requests do run joins
+
+    service = star_service()
+    errors: list[BaseException] = []
+    wrong: list[tuple] = []
+    deadline = time.monotonic() + 20.0
+    start = threading.Barrier(8)
+
+    def reader(k: int) -> None:
+        try:
+            start.wait(timeout=20)
+            # the first round is the same request order in every thread
+            for r in range(3):
+                for attributes in STAR_REQUESTS[r * k % 5:] + (
+                    STAR_REQUESTS[:r * k % 5]
+                ):
+                    if time.monotonic() > deadline:
+                        return
+                    if answer(service, attributes) != expected[attributes]:
+                        wrong.append(attributes)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=reader, args=(k,), daemon=True)
+        for k in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert wrong == []
 
 
 def test_unpinned_reads_hold_the_read_lock_too(service):
