@@ -45,6 +45,19 @@ class MetadataDelta:
     snapshot: ContextSnapshot | None
     previous: ContextSnapshot | None = None
 
+    @property
+    def keeps_columns(self) -> bool:
+        """True for an ``updated`` delta whose columns keep their names and
+        semantic tags, in order: state derived from names and tags alone
+        (attribute matches) is unchanged by it."""
+        if self.kind != "updated":
+            return False
+        return _column_tags(self.snapshot) == _column_tags(self.previous)
+
+
+def _column_tags(snapshot: ContextSnapshot) -> list[tuple[str, str | None]]:
+    return [(c.column, c.semantic) for c in snapshot.profile.columns]
+
 
 MetadataListener = Callable[[MetadataDelta], None]
 

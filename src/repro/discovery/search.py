@@ -34,12 +34,19 @@ class DatasetHit:
     matches: tuple[AttributeMatch, ...]
 
 
+#: attribute lookups the match memo holds; a new entry clears a full memo
+_MATCH_CACHE_SIZE = 1024
+
+
 class DiscoveryEngine:
     """Keyword + schema search over the registered corpus.
 
-    Attribute-resolution results are memoized and invalidated by the
-    metadata engine's typed deltas, so the DoD engine's repeated lookups
-    against an unchanged corpus don't re-scan every profile.
+    Attribute-resolution results are memoized, so the DoD engine's
+    repeated lookups don't re-scan every profile.  A match reads only
+    column names and semantic tags, so the memo outlives every delta that
+    keeps them (:attr:`MetadataDelta.keeps_columns`, a same-schema
+    update) and is cleared by any other.  At most ``_MATCH_CACHE_SIZE``
+    lookups are held.
     """
 
     def __init__(
@@ -53,8 +60,9 @@ class DiscoveryEngine:
             engine.subscribe(self._on_delta) if subscribe else None
         )
 
-    def _on_delta(self, _delta) -> None:
-        self._match_cache.clear()
+    def _on_delta(self, delta) -> None:
+        if not delta.keeps_columns:
+            self._match_cache.clear()
 
     def detach(self) -> None:
         """Unsubscribe from the metadata engine (idempotent).
@@ -87,6 +95,11 @@ class DiscoveryEngine:
                     )
         out.sort(key=lambda m: (-m.score, m.dataset, m.column))
         if self._subscription is not None:
+            # readers share the memo (deltas are applied exclusively): a
+            # racing insert can overshoot the bound by one entry per
+            # reader, never store a stale match
+            if len(self._match_cache) >= _MATCH_CACHE_SIZE:
+                self._match_cache.clear()
             self._match_cache[cache_key] = out
         return list(out)
 

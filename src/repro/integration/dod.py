@@ -42,8 +42,12 @@ blow-up order, so low-fan-out (FK→PK-shaped) joins shrink or hold the
 running cardinality before any fanning join multiplies it.  Estimated vs.
 actual output cardinalities of every executed plan are recorded in
 :attr:`PlannerStats.cardinality_estimates`.  Join paths are memoized per
-(start, target, graph version), so replanning against an unchanged graph
-never repeats a shortest-path search.
+(start, target), and step costs per dataset.  A path from
+``start`` reads only ``start``'s connected component, so each memo entry
+records that component's fingerprint, and a planner subscribed to the
+metadata deltas keeps it through every graph change that leaves the
+fingerprint live: replanning never repeats a shortest-path search inside
+a component no delta touched.
 """
 
 from __future__ import annotations
@@ -126,6 +130,7 @@ class PlanCacheStats:
     depended on, and is evicted only when one of those components changed
     (or a delta introduced a column that could newly match one of the
     entry's attributes) — unrelated seller churn leaves it servable.
+    Eviction, and so ``invalidations``, happens at the evicting delta.
     """
 
     hits: int = 0
@@ -150,7 +155,7 @@ class PlannerStats:
     """Work counters for one ``build_mashups`` call (``last_stats``)."""
 
     mode: str = "beam"
-    #: True when the whole call was served from the graph-version plan cache
+    #: True when the whole call was served from the plan cache
     cache_hit: bool = False
     #: complete covering assignments evaluated (scored) by the enumerator
     assignments_scored: int = 0
@@ -163,8 +168,9 @@ class PlannerStats:
     plans_attempted: int = 0
     #: plans that actually produced a join tree
     plans_built: int = 0
-    #: join-path lookups served from the (start, target, graph_version)
-    #: memo vs. computed fresh by a shortest-path search
+    #: join-path lookups served from the (start, target) memo, whose
+    #: entries live while their start's component fingerprint does, vs.
+    #: computed fresh by a shortest-path search
     path_cache_hits: int = 0
     path_cache_misses: int = 0
     #: per executed plan, in emission order: (estimated output rows — the
@@ -272,10 +278,10 @@ class DoDEngine:
     ``plan_cache`` (default on) memoizes whole ``build_mashups`` results
     keyed on the request identity.  Invalidation is **component-scoped**:
     every entry records the join-graph component fingerprints its result
-    depended on, a hit is served only while all of them are still current,
-    and the engine's metadata-delta subscription additionally evicts
-    entries whose attributes a newly registered/updated column could match
-    — so steady-state plan streams survive churn in unrelated components
+    depended on, and the engine's metadata-delta subscription evicts it
+    at the first delta after which one of them is no longer current, or
+    whose new or renamed columns could match one of its attributes — so
+    steady-state plan streams survive churn in unrelated components
     instead of losing the whole cache on any delta.  ``plan_cache_size``
     bounds the entry count with LRU eviction.  Requests carrying hints or
     query-by-example payloads bypass the cache (their identity is not
@@ -296,14 +302,15 @@ class DoDEngine:
         if plan_cache_size < 1:
             raise IntegrationError("plan_cache_size must be >= 1")
         self.processor = Processor()
-        #: join-path memo: (start, target) -> path result,
-        #: valid for exactly one graph version *of one index object* — the
-        #: identity token guards against a re-attach to a different index
-        #: whose version counter happens to coincide
-        self._path_cache: dict[tuple, object] = {}
-        #: per dataset, its neighbours and the cost of stepping to each,
-        #: valid for the same graph version as the path memo
+        #: join-path memo: (start, target) -> (fingerprint of start's
+        #: component, path or None); :meth:`_sync_memos` decides how long
+        #: an entry lives
+        self._path_cache: dict[tuple[str, str], tuple] = {}
+        #: per dataset, under the same rule: (its component's fingerprint,
+        #: its neighbours with the cost of stepping to each, and per
+        #: neighbour the count of edges that mark the neighbour the PK side)
         self._step_cache: dict[str, tuple] = {}
+        #: the graph version and index object the memos were last synced to
         self._path_cache_version = -1
         self._path_cache_index: IndexBuilder | None = None
         #: serializes cache mutation against concurrent readers — the
@@ -397,28 +404,79 @@ class DoDEngine:
         return frozenset(fps)
 
     def _on_delta(self, delta) -> None:
-        """Evict entries a new/updated column could now match.
+        """Drop, at the delta, every memo entry the delta can change.
 
-        Component fingerprints (checked lazily at lookup) already catch
-        every change *inside* a component an entry depends on — including
-        removals and merges/splits.  The one blind spot is a column that
-        newly matches an entry's attributes from a component the entry
-        never depended on; scoring the delta's columns against each
-        entry's attributes (the same arithmetic discovery uses) closes it.
+        :meth:`_sync_memos` evicts every plan, path and step entry whose
+        component fingerprints are no longer all live — a change *inside*
+        a component an entry depends on, including removals and
+        merges/splits.  The one blind spot is a column that newly matches
+        an entry's attributes from a component the entry never depended
+        on; scoring the delta's columns against each entry's attributes
+        (the same arithmetic discovery uses) closes it.  Only a delta that
+        adds or renames columns (or retags them) can bring such a column:
+        a same-schema update scores exactly as before.  An entry whose
+        hints name the delta's dataset goes too.
         """
-        if delta.snapshot is None or not self._plan_cache:
-            return  # removals are fully covered by fingerprint checks
-        profile = delta.snapshot.profile
-        score = DiscoveryEngine._attribute_score
         with self._lock:
+            if self._plan_cache or self._path_cache or self._step_cache:
+                self._sync_memos()
+            if delta.snapshot is None or not self._plan_cache:
+                return  # removals are fully covered by fingerprints
+            columns = (
+                () if delta.keeps_columns else delta.snapshot.profile.columns
+            )
+            score = DiscoveryEngine._attribute_score
             for key, entry in list(self._plan_cache.items()):
                 if delta.dataset in entry.hint_datasets or any(
                     score(attr, col) >= entry.min_score
-                    for col in profile.columns
+                    for col in columns
                     for attr in entry.attributes
                 ):
                     del self._plan_cache[key]
                     self.cache_stats.invalidations += 1
+
+    def _sync_memos(self) -> None:
+        """Keep exactly the memo entries the index still vouches for.
+
+        A new graph version keeps each path, step and plan entry whose
+        component fingerprints are all still live: everything such an
+        entry read (its component's members, edges, fan-outs, scores,
+        ``pk_side`` and row counts) is a function of the members'
+        profiles, which the fingerprint covers.  ``build_mashups`` runs
+        this before it reads any memo, and the delta listener at every
+        delta, so a stale entry leaves at the delta that made it stale.
+
+        A planner without the delta subscription (``plan_cache=False``,
+        or detached) cannot see a dataset leave and return with the same
+        content between two builds: its fingerprint comes back, but its
+        edges are re-oriented by the new registration order.  Such a
+        planner, and any planner given a different index object, clears
+        the path and step memos at every graph change instead."""
+        index = self.index
+        version = index.graph_version
+        if (
+            index is self._path_cache_index
+            and version == self._path_cache_version
+        ):
+            return
+        if index is not self._path_cache_index or self._subscription is None:
+            self._path_cache.clear()
+            self._step_cache.clear()
+        self._path_cache_index = index
+        self._path_cache_version = version
+        if not (self._path_cache or self._step_cache or self._plan_cache):
+            return
+        live = index.component_fingerprint_set()
+        self._path_cache = {
+            k: e for k, e in self._path_cache.items() if e[0] in live
+        }
+        self._step_cache = {
+            k: e for k, e in self._step_cache.items() if e[0] in live
+        }
+        for key, entry in list(self._plan_cache.items()):
+            if not entry.fingerprints <= live:
+                del self._plan_cache[key]
+                self.cache_stats.invalidations += 1
 
     def build_mashups(self, request: MashupRequest) -> list[Mashup]:
         """Produce up to ``max_results`` ranked mashups for the request.
@@ -429,6 +487,7 @@ class DoDEngine:
         discovery state for every dataset the result could draw on.
         """
         with self._lock:
+            self._sync_memos()
             key = self._cache_key(request)
             if key is None:
                 if self.plan_cache:
@@ -436,16 +495,10 @@ class DoDEngine:
                 return self._build_mashups(request)
             entry = self._plan_cache.get(key)
             if entry is not None:
-                fps = self.index.component_fingerprint_set()
-                if entry.fingerprints <= fps:
-                    self._plan_cache.move_to_end(key)
-                    self.cache_stats.hits += 1
-                    self.last_stats = PlannerStats(
-                        mode="cached", cache_hit=True
-                    )
-                    return [_copy_mashup(m) for m in entry.mashups]
-                del self._plan_cache[key]
-                self.cache_stats.invalidations += 1
+                self._plan_cache.move_to_end(key)
+                self.cache_stats.hits += 1
+                self.last_stats = PlannerStats(mode="cached", cache_hit=True)
+                return [_copy_mashup(m) for m in entry.mashups]
             self.cache_stats.misses += 1
             mashups = self._build_mashups(request)
             self._plan_cache[key] = _PlanCacheEntry(
@@ -826,19 +879,14 @@ class DoDEngine:
         """Per dataset: how many join-graph edges to *other assignment
         datasets* name it as the referencing (FK) side — i.e. the other
         endpoint carries the ``pk_side`` inclusion-dependency marker."""
-        scores = {d: 0 for d in datasets}
         members = set(datasets)
-        graph = self.index.graph
-        for d in datasets:
-            if d not in graph:
-                continue
-            for _u, other, data in graph.edges(d, data=True):
-                if other not in members:
-                    continue
-                pk_side = data.get("pk_side")
-                if pk_side is not None and pk_side == other:
-                    scores[d] += 1
-        return scores
+        return {
+            d: sum(
+                n for other, n in self._step_entry(d)[2].items()
+                if other in members
+            )
+            for d in datasets
+        }
 
     def _connect(
         self, target: str, included: set[str]
@@ -935,7 +983,7 @@ class DoDEngine:
                 if u in done:
                     continue
                 done.add(u)
-                for v, step in self._steps_from(u):
+                for v, step in self._step_entry(u)[1]:
                     if v in done:
                         continue
                     key = (cost + step, path + (v,))
@@ -964,42 +1012,47 @@ class DoDEngine:
             steps.append(pred)
         return steps
 
-    def _steps_from(self, u: str) -> tuple[tuple[str, float], ...]:
-        """``u``'s neighbours in the join graph, each with the cost of
-        stepping to it (its cheapest parallel predicate's), memoized with
-        the join paths."""
-        steps = self._step_cache.get(u)
-        if steps is None:
-            steps = self._step_cache[u] = tuple(
-                (v, min(self._edge_cost(u, v, a) for a in edges.values()))
-                for v, edges in self.index.graph.adj[u].items()
+    def _step_entry(self, u: str) -> tuple:
+        """``u``'s step-memo entry (see ``_step_cache``): its neighbours,
+        each with the cost of stepping to it (its cheapest parallel
+        predicate's), and its FK-side edge counts, built on first use
+        after :meth:`_sync_memos` last dropped them."""
+        entry = self._step_cache.get(u)
+        if entry is None:
+            graph = self.index.graph
+            adj = graph.adj[u] if u in graph else {}
+            fk_edges = {}
+            for v, edges in adj.items():
+                n = sum(a.get("pk_side") == v for a in edges.values())
+                if n:
+                    fk_edges[v] = n
+            entry = self._step_cache[u] = (
+                self.index.component_fingerprint_of(u),
+                tuple(
+                    (v, min(self._edge_cost(u, v, a) for a in edges.values()))
+                    for v, edges in adj.items()
+                ),
+                fk_edges,
             )
-        return steps
+        return entry
 
     def _path_for(
         self, start: str, target: str
     ) -> list[JoinPredicate] | None:
-        """Memoized join path: (start, target) keyed, valid for exactly one
-        graph version — any graph mutation clears the memo."""
-        version = self.index.graph_version
-        if (
-            version != self._path_cache_version
-            or self._path_cache_index is not self.index
-        ):
-            self._path_cache.clear()
-            self._step_cache.clear()
-            self._path_cache_version = version
-            self._path_cache_index = self.index
+        """Memoized join path, keyed on (start, target); the entry lives
+        while ``start``'s component fingerprint does (:meth:`_sync_memos`)."""
         key = (start, target)
-        if key in self._path_cache:
+        entry = self._path_cache.get(key)
+        if entry is not None:
             self.last_stats.path_cache_hits += 1
-            return self._path_cache[key]
+            return entry[1]
         self.last_stats.path_cache_misses += 1
         try:
             path = self._cost_path(start, target)
         except DiscoveryError:
             path = None
-        self._path_cache[key] = path
+        fingerprint = self.index.component_fingerprint_of(start)
+        self._path_cache[key] = (fingerprint, path)
         return path
 
     def _blowup_from(self, base: str, dataset: str) -> float:

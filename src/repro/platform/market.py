@@ -97,6 +97,28 @@ def _normalized_attributes(attributes: Iterable[str]) -> tuple[str, ...]:
     return attrs
 
 
+def _check_utf8(relation: Relation, seller: str) -> None:
+    """Refuse a name with no UTF-8 form (a lone surrogate, U+D800 to
+    U+DFFF): the store and the content digest encode every name and tag,
+    so such a write must fail before any engine changes."""
+    fields = [("dataset name", relation.name), ("seller", seller)]
+    for column in relation.schema:
+        fields.append(("column name", column.name))
+        if column.semantic is not None:
+            fields.append(
+                (f"semantic tag of column {column.name!r}", column.semantic)
+            )
+    for field, text in fields:
+        try:
+            if isinstance(text, str):
+                text.encode()
+        except UnicodeEncodeError:
+            raise InvalidRequestError(
+                f"{field} {text!r} holds a lone surrogate "
+                f"(U+D800 to U+DFFF), which has no UTF-8 form"
+            ) from None
+
+
 class DataMarket:
     """Facade over the full data-market stack, per deployed design.
 
@@ -296,9 +318,11 @@ class DataMarket:
     def _accept(
         self, relation, seller, reserve_price, license, policy, created
     ) -> RegisterResult:
-        # the store's payload and the content digest (memoized for the
-        # registration) are built before any engine changes: a cell
-        # either cannot take is refused with the market untouched
+        # names and tags are checked, and the store's payload and the
+        # content digest (memoized for the registration) built, before
+        # any engine changes: what either cannot take is refused with the
+        # market untouched
+        _check_utf8(relation, seller)
         payload = (
             relation_to_payload(relation) if self._store is not None else None
         )

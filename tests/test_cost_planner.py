@@ -17,6 +17,7 @@ import pytest
 
 from oracles.planning import HopCountDoDEngine, install_planner
 from repro.discovery import (
+    DiscoveryEngine,
     FanoutEstimate,
     IndexBuilder,
     MetadataEngine,
@@ -24,7 +25,7 @@ from repro.discovery import (
     estimate_fanouts,
     profile_table,
 )
-from repro.integration import MashupRequest
+from repro.integration import DoDEngine, MashupRequest
 from repro.integration.plan import MashupPlan, _qualify
 from repro.mashup import MashupBuilder
 from repro.relation import Column, Relation
@@ -259,16 +260,52 @@ def test_join_paths_memoized_across_builds():
     assert second.path_cache_hits > 0
 
 
+def plans_of(b: MashupBuilder, request: MashupRequest, dod=None) -> list:
+    """``request`` planned by ``dod``, by default a fresh engine over the
+    same indexes: no match, path, step or plan memo carried over."""
+    if dod is None:
+        dod = DoDEngine(
+            b.metadata, b.index,
+            DiscoveryEngine(b.metadata, b.index, subscribe=False),
+            plan_cache=False,
+        )
+    mashups = dod.build_mashups(request)
+    return [(m.plan, m.matched, m.missing) for m in mashups]
+
+
 def test_path_memo_invalidated_by_graph_change():
-    b = skew_builder(cost_model=True, plan_cache=False)
+    """A join path reads only its start's component: a registration in
+    another component keeps every memoized path, a delta inside the
+    path's component forces fresh searches, and both plan as a rebuild
+    with every memo cleared does.  Each request differs in its limit, so
+    the plan cache never answers it."""
+    b = skew_builder(cost_model=True)
     b.build(REQUEST)
-    # unrelated registration still bumps the graph version: memoized
-    # paths must not survive into the new graph
     b.add_dataset(
         Relation("misc", [Column("zz", "str")], [("x",), ("y",)]),
         owner="d",
     )
+    assert b.index.component_of("misc") != b.index.component_of("orders")
+    again = MashupRequest(attributes=REQUEST.attributes, max_results=4)
+    assert plans_of(b, again, b.dod) == plans_of(b, again)
+    assert b.dod.last_stats.path_cache_misses == 0
+    assert b.dod.last_stats.path_cache_hits > 0
+    b.add_dataset(make_status(n_covered=20), owner="c")
+    changed = MashupRequest(attributes=REQUEST.attributes, max_results=3)
+    assert plans_of(b, changed, b.dod) == plans_of(b, changed)
+    assert b.dod.last_stats.path_cache_misses > 0
+
+
+def test_path_memo_cleared_by_graph_change_without_deltas():
+    """A planner without the delta subscription clears its path memo at
+    every graph change, as it cannot see a dataset leave and return."""
+    b = skew_builder(cost_model=True, plan_cache=False)
     b.build(REQUEST)
+    b.add_dataset(
+        Relation("misc", [Column("zz", "str")], [("x",), ("y",)]),
+        owner="d",
+    )
+    assert plans_of(b, REQUEST, b.dod) == plans_of(b, REQUEST)
     assert b.dod.last_stats.path_cache_misses > 0
 
 

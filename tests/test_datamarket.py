@@ -140,6 +140,52 @@ def test_a_lone_surrogate_cell_is_refused_before_any_change(tmp_path, store):
         assert DataMarket(store=str(tmp_path / "m.db")).datasets == ["held"]
 
 
+@pytest.mark.parametrize("store", [False, True])
+@pytest.mark.parametrize("field", ["dataset name", "seller", "column name",
+                                   "semantic tag"])
+def test_a_lone_surrogate_in_a_name_is_refused_before_any_change(
+    tmp_path, store, field
+):
+    """A dataset name, seller, column name or semantic tag with a lone
+    surrogate has no UTF-8 form for the store or the digest: register and
+    update refuse it with a typed error naming the field, and neither the
+    live market nor a restart from its store holds the write."""
+    path = str(tmp_path / "m.db")
+    market = DataMarket(store=path if store else None)
+    market.register_dataset(make_dataset("held", ["alpha"]), seller="s1")
+    version, accounts = market.graph_version, set(market.ledger.accounts)
+    name, seller, column, tag = "fresh", "s2", "c", None
+    if field == "dataset name":
+        name = "fresh\ud800"
+    elif field == "seller":
+        seller = "s\ud800"
+    elif field == "column name":
+        column = "c\udfff"
+    else:
+        tag = "t\ud800"
+    bad = Relation(name, [Column(column, "str", tag)], [("a",)])
+    with pytest.raises(InvalidRequestError, match=field):
+        market.register_dataset(bad, seller=seller)
+    if field != "dataset name":
+        held = Relation(
+            "held",
+            [Column("entity_id", "int"),
+             Column(column if field == "column name" else "alpha", "str",
+                    tag)],
+            [(1, "b")],
+        )
+        with pytest.raises(InvalidRequestError, match=field):
+            market.update_dataset(
+                held, seller=seller if field == "seller" else "s1"
+            )
+    assert market.datasets == ["held"]
+    assert market.graph_version == version
+    assert set(market.ledger.accounts) == accounts
+    assert market.metadata.snapshot("held").version == 1
+    if store:
+        assert DataMarket(store=path).datasets == ["held"]
+
+
 def test_update_by_other_seller_is_ownership_error():
     market = DataMarket(internal_market())
     market.register_dataset(make_dataset("ds_a", ["alpha"]), seller="s0")

@@ -20,6 +20,7 @@ from repro.discovery import (
     IndexBuilder,
     MetadataEngine,
 )
+from repro.discovery.search import _MATCH_CACHE_SIZE
 from repro.errors import DiscoveryError, MarketError, SimulationError
 from repro.market import internal_market
 from repro.market.arbiter import Arbiter
@@ -350,6 +351,56 @@ def test_discovery_match_cache_invalidated_by_deltas():
     }
     discovery.detach()
     discovery.detach()  # idempotent
+
+
+def test_discovery_match_cache_kept_by_same_schema_update():
+    """A match reads column names and semantic tags only: an update that
+    keeps them keeps the memo, one that renames or retags a column
+    clears it."""
+    eng = MetadataEngine(num_perm=16)
+    index = IndexBuilder(eng)
+    discovery = DiscoveryEngine(eng, index)
+    rng = random.Random(3)
+    first = make_relation("ds_a", rng)
+    eng.register(first)
+    matches = discovery.match_attribute("payload")
+    update = Relation(
+        "ds_a", list(first.schema),
+        [(k, c, p + 1.0) for k, c, p in first.rows],
+    )
+    delta = []
+    eng.subscribe(delta.append)
+    eng.register(update)
+    assert delta[-1].keeps_columns
+    assert ("payload", 0.55) in discovery._match_cache
+    assert discovery.match_attribute("payload") == matches
+    columns = list(first.schema)
+    for renamed in (
+        [columns[0], columns[1], Column("load", "float")],
+        [Column("entity_id", "int", "other_tag"), *columns[1:]],
+    ):
+        eng.register(Relation("ds_a", renamed, update.rows))
+        assert not delta[-1].keeps_columns
+        assert discovery._match_cache == {}
+        discovery.match_attribute("payload")
+    assert {m.column for m in discovery.match_attribute("payload")} == {
+        "payload"
+    }
+
+
+def test_discovery_match_cache_bounded():
+    """The memo outlives same-schema updates, so it is bounded: many
+    distinct attributes never grow it past ``_MATCH_CACHE_SIZE``."""
+    eng = MetadataEngine(num_perm=16)
+    index = IndexBuilder(eng)
+    discovery = DiscoveryEngine(eng, index)
+    eng.register(make_relation("ds_a", random.Random(4)))
+    for i in range(2 * _MATCH_CACHE_SIZE + 3):
+        discovery.match_attribute(f"attr{i}")
+        assert 0 < len(discovery._match_cache) <= _MATCH_CACHE_SIZE
+    assert [m.column for m in discovery.match_attribute("payload")] == [
+        "payload"
+    ]
 
 
 # -- profiler: per-column reuse across versions ------------------------------

@@ -70,6 +70,23 @@ def test_ticket_reraises_a_lone_surrogate_as_a_typed_error(service):
     assert service.register_dataset(rel("next"), "acme").result(10).created
 
 
+def test_ticket_reraises_a_lone_surrogate_name_as_a_typed_error(tmp_path):
+    """A surrogate in a dataset name would reach the store only after the
+    engines took the write; the ticket fails typed with nothing applied,
+    and a restart from the store agrees."""
+    path = str(tmp_path / "m.db")
+    service = MarketService(DataMarket(store=path))
+    try:
+        ticket = service.register_dataset(rel("ds\ud800"), "acme")
+        with pytest.raises(InvalidRequestError, match="dataset name"):
+            ticket.result(10)
+        assert service.market.datasets == []
+        assert service.register_dataset(rel("next"), "acme").result(10)
+    finally:
+        service.close()
+    assert DataMarket(store=path).datasets == ["next"]
+
+
 def test_writes_apply_in_submission_order(service):
     tickets = [
         service.register_dataset(rel(f"ds{i}"), "acme") for i in range(6)

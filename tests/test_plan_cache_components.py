@@ -116,9 +116,9 @@ def test_updating_dependency_invalidates_entry():
 
 def test_component_merge_detected_via_fingerprints():
     """A newcomer that joins the dependency component by pure value
-    overlap (no attribute-name similarity, so the eager delta check stays
-    silent) must still evict the entry at lookup: the component fingerprint
-    changed and join paths may differ."""
+    overlap (no attribute-name similarity, so the attribute scan stays
+    silent) must still evict the entry: the component fingerprint changed
+    and join paths may differ."""
     cached, uncached = seeded_markets()
     plan_both(cached, uncached)
     rng = np.random.default_rng(1)
@@ -157,6 +157,24 @@ def test_new_matching_column_in_foreign_component_evicts():
     after = plan_both(cached, uncached)
     assert after.cached is False
     assert cached.plan_cache_stats.invalidations == 1
+
+
+def test_stale_entry_leaves_the_cache_at_the_delta():
+    """A delta that changes a dependency's fingerprint evicts the entry
+    there, with its materialized mashups, not at the next lookup — an
+    entry nobody asks for again must not wait for the LRU bound."""
+    cached, _uncached = seeded_markets()
+    cached.plan(ALPHA_ATTRS, **ALPHA_REQ)
+    cached.plan(["grid0"], key="gridref")
+    user_entry, grid_entry = cached.planner._plan_cache.values()
+    cached.update_dataset(make_ds("user", 1, seed=4), seller="s_user")
+    assert list(cached.planner._plan_cache.values()) == [grid_entry]
+    assert cached.plan_cache_stats.invalidations == 1
+    assert user_entry.fingerprints - cached.index.component_fingerprint_set()
+    cached.retire_dataset("grid_ds2")
+    assert cached.planner._plan_cache == {}
+    assert cached.plan_cache_stats.invalidations == 2
+    assert cached.plan_cache_stats.hits == 0
 
 
 # ---------------------------------------------------------------------------
